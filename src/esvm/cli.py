@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import SeedKey, save_trajectory, split_burn_in
+from .chains import save_trajectory
 from .config import load_experiment
 from .errors import ConfigError, EsvmError
 from .harness import (
@@ -26,10 +26,10 @@ from .harness import (
     evaluate_with_parameters,
     make_functional,
     run_experiment,
+    train_chain,
     write_acf_csv,
     write_bn_sweep_csv,
 )
-from .samplers import SamplerConfig, sample_chain
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -75,19 +75,9 @@ def _out_dir(args, config) -> Path:
     return out
 
 
-def _train_trajectory(config):
-    sampler = SamplerConfig(kind=config.sampler_kind, gamma=config.gamma,
-                            n_steps=config.n_burn + config.n_train,
-                            seed=SeedKey(config.seed, 0))
-    traj, stats = sample_chain(sampler, config.target, config.start_point())
-    if config.n_burn:
-        traj = split_burn_in(traj, config.n_burn)
-    return traj, stats
-
-
 def _cmd_sample(args, config) -> int:
     out = _out_dir(args, config)
-    traj, stats = _train_trajectory(config)
+    traj, stats = train_chain(config)
     path = out / "train.traj"
     save_trajectory(traj, path)
     print(f"wrote {path} ({len(traj)} states, dim {traj.dim}, "
@@ -100,7 +90,7 @@ def _cmd_fit(args, config) -> int:
     from .variance import LagWindow
 
     out = _out_dir(args, config)
-    traj, _ = _train_trajectory(config)
+    traj, _ = train_chain(config)
     design = _build_design(config, traj, LagWindow(config.train_truncation))
     fits = _fit_methods(config, design)
     doc = {
@@ -143,7 +133,7 @@ def _cmd_run(args, config) -> int:
 
 def _cmd_acf(args, config) -> int:
     out = _out_dir(args, config)
-    traj, _ = _train_trajectory(config)
+    traj, _ = train_chain(config)
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
     values = acf_dump(functional(traj.states), args.max_lag)
     path = out / "acf.csv"

@@ -66,7 +66,11 @@ def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
     if spec.kind == "second_moment":
         return lambda states: np.asarray(states)[:, spec.index] ** 2
     if spec.kind == "cube":
-        return lambda states: np.asarray(states)[:, spec.index] ** 3
+        def cube(states):
+            x = np.asarray(states)[:, spec.index]
+            return x * x * x
+
+        return cube
     if dataset is None or regression_kind not in ("logistic", "probit"):
         raise ConfigError("test_likelihood functional needs a dataset and a regression kind")
     signs = 2.0 * dataset.labels_test - 1.0
@@ -293,7 +297,9 @@ class _Stage:
         return False
 
 
-def _train_chain(config: ExperimentConfig):
+def train_chain(config: ExperimentConfig):
+    """Sample the training chain (stream 0) and drop its burn-in; returns the
+    trajectory and its acceptance statistics."""
     sampler = SamplerConfig(
         kind=config.sampler_kind,
         gamma=config.gamma,
@@ -330,7 +336,8 @@ def _batched(streams: Sequence[int], size: int):
 
 
 def _evaluate_batch(config: ExperimentConfig, streams, fits: dict, window: LagWindow):
-    """Sample one batch of test chains and score every method on each chain."""
+    """Sample one batch of test chains and score every fit on each chain;
+    `fits` may be keyed by method name or, in a sweep, by truncation."""
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
     sampler = SamplerConfig(
         kind=config.sampler_kind,
@@ -386,8 +393,7 @@ def _evaluate_stage(config: ExperimentConfig, fits: dict) -> list:
     return rows
 
 
-def _aggregate(config: ExperimentConfig, fits: dict, rows: list,
-               train_stats, timings: dict) -> VRFReport:
+def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) -> VRFReport:
     truth = config.target.exact_moments.get(config.functional.name)
     van_avgs = [r["avg_vanilla"] for r in rows]
     vanilla = {
@@ -426,18 +432,21 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list,
         "mean_test_rate": float(np.mean([r["accept_rate"] for r in rows])),
         "test_nonfinite_log_alpha": int(sum(r["nonfinite_log_alpha"] for r in rows)),
     }
-    run_info = {
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "timings": {k: round(v, 6) for k, v in timings.items()},
-    }
     return VRFReport(
         schema_version=SCHEMA_VERSION,
         config=config.describe(),
         vanilla=vanilla,
         methods=methods,
         acceptance=acceptance,
-        run_info=run_info,
+        run_info={"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
     )
+
+
+def _with_timings(report: VRFReport, timings: dict) -> VRFReport:
+    """Record the stage timings once every stage, aggregation included, has
+    closed."""
+    report.run_info["timings"] = {k: round(v, 6) for k, v in timings.items()}
+    return report
 
 
 def run_experiment(config: ExperimentConfig) -> VRFReport:
@@ -445,14 +454,15 @@ def run_experiment(config: ExperimentConfig) -> VRFReport:
     nothing is written."""
     timings: dict = {}
     with _Stage("train-sampling", timings):
-        train, train_stats = _train_chain(config)
+        train, train_stats = train_chain(config)
     with _Stage("fit", timings):
         design = _build_design(config, train, LagWindow(config.train_truncation))
         fits = _fit_methods(config, design)
     with _Stage("test-evaluation", timings):
         rows = _evaluate_stage(config, fits)
     with _Stage("aggregate", timings):
-        return _aggregate(config, fits, rows, train_stats, timings)
+        report = _aggregate(config, fits, rows, train_stats)
+    return _with_timings(report, timings)
 
 
 def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFReport:
@@ -468,11 +478,12 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
         )
     config = _with_methods(config, tuple(fits))
     with _Stage("train-sampling", timings):
-        _, train_stats = _train_chain(config)
+        _, train_stats = train_chain(config)
     with _Stage("test-evaluation", timings):
         rows = _evaluate_stage(config, fits)
     with _Stage("aggregate", timings):
-        return _aggregate(config, fits, rows, train_stats, timings)
+        report = _aggregate(config, fits, rows, train_stats)
+    return _with_timings(report, timings)
 
 
 def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
@@ -482,24 +493,26 @@ def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
 
 
 def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
-    """Refit the spectral criterion at each training truncation and score all
-    fits on one shared set of test chains (fixed test truncation). Returns
+    """Refit the spectral criterion at each training truncation, then score
+    all fits in one pass over the test chains (fixed test truncation), so
+    each test chain is sampled once however many values are swept. Returns
     one row per value: {b_n, mean_vrf, infinite_count}."""
     for b in bn_values:
         if not 1 <= b <= config.n_train:
             raise ConfigError(f"truncation {b} outside [1, {config.n_train}]")
     timings: dict = {}
     with _Stage("train-sampling", timings):
-        train, _ = _train_chain(config)
+        train, _ = train_chain(config)
+    fits = {}
+    for b in bn_values:
+        with _Stage(f"fit[b_n={b}]", timings):
+            design = _build_design(config, train, LagWindow(int(b)))
+            fits[int(b)] = fit(design, config.family, "esvm", ridge=config.ridge)
+    with _Stage("test-evaluation", timings):
+        rows = _evaluate_stage(config, fits) if fits else []
     rows_out = []
     for b in bn_values:
-        cfg_b = _with_methods(config, ("esvm",))
-        with _Stage(f"fit[b_n={b}]", timings):
-            design = _build_design(cfg_b, train, LagWindow(int(b)))
-            fits = _fit_methods(cfg_b, design)
-        with _Stage(f"evaluate[b_n={b}]", timings):
-            rows = _evaluate_stage(cfg_b, fits)
-        entries = [r["methods"]["esvm"] for r in rows]
+        entries = [r["methods"][int(b)] for r in rows]
         finite = [e["vrf"] for e in entries if not e["infinite"]]
         rows_out.append({
             "b_n": int(b),

@@ -142,7 +142,7 @@ def rbf_gradient(family: SteinFamily, theta, x, grad_u_at_x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     squeeze = x.ndim == 1 and x.size == 1
     u, du, e, resp = _rbf_parts(x, grad_u_at_x, centers)
-    d_center = amps[None, :] * e * (du * (1.0 - u * u) + 3.0 * u - u**3)
+    d_center = amps[None, :] * e * (du * (1.0 - u * u) + 3.0 * u - u * u * u)
     out = np.hstack([resp, d_center])
     return out[0] if squeeze else out
 

@@ -33,12 +33,22 @@ class TargetModel:
     exact_moments: dict = field(default_factory=dict)
 
 
-def _make_target(dim, value_and_grad, label, exact_moments=None) -> TargetModel:
+def _make_target(dim, shared, value, grad, label, exact_moments=None) -> TargetModel:
+    """Assemble the three entry points from a target's pieces. `shared(x)`
+    returns the intermediates both halves need; `value(*parts)` and
+    `grad(*parts)` finish U and its gradient from them. `potential` and
+    `gradient` each compute only their own half, and all three entry points
+    return the same bits for the same input."""
+
     def potential(x):
-        return value_and_grad(x)[0]
+        return value(*shared(x))
 
     def gradient(x):
-        return value_and_grad(x)[1]
+        return grad(*shared(x))
+
+    def value_and_grad(x):
+        parts = shared(x)
+        return value(*parts), grad(*parts)
 
     return TargetModel(
         dim=dim,
@@ -71,7 +81,7 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
     with np.errstate(divide="ignore"):
         log_w1, log_w2 = np.log(rho), np.log(1.0 - rho)
 
-    def value_and_grad(x):
+    def shared(x):
         x = np.asarray(x, dtype=np.float64)
         m1 = x - mu
         m2 = x + mu
@@ -79,16 +89,20 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
         g2 = m2 @ sinv
         a1 = log_w1 - 0.5 * np.sum(m1 * g1, axis=-1)
         a2 = log_w2 - 0.5 * np.sum(m2 * g2, axis=-1)
-        u = -np.logaddexp(a1, a2)
+        return g1, g2, a1, a2
+
+    def value(g1, g2, a1, a2):
+        return -np.logaddexp(a1, a2)
+
+    def grad(g1, g2, a1, a2):
         w1 = expit(a1 - a2)
-        grad = np.expand_dims(w1, -1) * g1 + np.expand_dims(1.0 - w1, -1) * g2
-        return u, grad
+        return np.expand_dims(w1, -1) * g1 + np.expand_dims(1.0 - w1, -1) * g2
 
     moments = {}
     for i in range(d):
         moments[f"coordinate[{i}]"] = (2.0 * rho - 1.0) * mu[i]
         moments[f"second_moment[{i}]"] = sigma[i, i] + mu[i] ** 2
-    return _make_target(d, value_and_grad, "gaussian-mixture", moments)
+    return _make_target(d, shared, value, grad, "gaussian-mixture", moments)
 
 
 def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
@@ -105,17 +119,22 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
         log_w = np.array([np.log(rho), np.log(1.0 - rho)])
     log_norm = log_w - np.log(s)
 
-    def value_and_grad(x):
+    def shared(x):
         x = np.asarray(x, dtype=np.float64)
         x1 = x[..., 0]
         z1 = (x1 - m[0]) / s[0]
         z2 = (x1 - m[1]) / s[1]
         a1 = log_norm[0] - 0.5 * z1 * z1
         a2 = log_norm[1] - 0.5 * z2 * z2
-        u = -np.logaddexp(a1, a2)
+        return z1, z2, a1, a2
+
+    def value(z1, z2, a1, a2):
+        return -np.logaddexp(a1, a2)
+
+    def grad(z1, z2, a1, a2):
         w1 = expit(a1 - a2)
         du = w1 * (z1 / s[0]) + (1.0 - w1) * (z2 / s[1])
-        return u, np.expand_dims(du, -1)
+        return np.expand_dims(du, -1)
 
     w = np.exp(log_w)
     moments = {
@@ -123,7 +142,7 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
         "second_moment[0]": float(w @ (m**2 + s**2)),
         "cube[0]": float(w @ (m**3 + 3.0 * m * s**2)),
     }
-    return _make_target(1, value_and_grad, "gaussian-mixture-separated", moments)
+    return _make_target(1, shared, value, grad, "gaussian-mixture-separated", moments)
 
 
 def banana_target(p: float, b: float, d: int) -> TargetModel:
@@ -134,26 +153,32 @@ def banana_target(p: float, b: float, d: int) -> TargetModel:
     if d < 2:
         raise ValueError("needs at least two dimensions")
 
-    def value_and_grad(x):
+    def shared(x):
         x = np.asarray(x, dtype=np.float64)
         x1 = x[..., 0]
         x2 = x[..., 1]
         bend = x2 + b * x1 * x1 - p * b
+        return x, x1, bend
+
+    def value(x, x1, bend):
         u = x1 * x1 / (2.0 * p) + bend * bend
-        grad = np.array(x, copy=True)
-        grad[..., 0] = x1 / p + 4.0 * b * x1 * bend
-        grad[..., 1] = 2.0 * bend
         if d > 2:
             rest = x[..., 2:]
             u = u + 0.5 * np.sum(rest * rest, axis=-1)
-        return u, grad
+        return u
+
+    def grad(x, x1, bend):
+        g = np.array(x, copy=True)
+        g[..., 0] = x1 / p + 4.0 * b * x1 * bend
+        g[..., 1] = 2.0 * bend
+        return g
 
     moments = {
         "coordinate[0]": 0.0,
         "coordinate[1]": 0.0,
         "second_moment[0]": float(p),
     }
-    return _make_target(d, value_and_grad, "banana", moments)
+    return _make_target(d, shared, value, grad, "banana", moments)
 
 
 @dataclass(frozen=True)
@@ -272,35 +297,42 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
     d = dataset.dim
     inv_g = 1.0 / g
 
+    def prior_value(x):
+        return 0.5 * inv_g * np.sum(x * x, axis=-1)
+
     if kind == "logistic":
 
-        def value_and_grad(x):
+        def shared(x):
             x = np.asarray(x, dtype=np.float64)
-            t = x @ feats.T
-            u = np.sum(np.logaddexp(0.0, t) - y * t, axis=-1) \
-                + 0.5 * inv_g * np.sum(x * x, axis=-1)
-            grad = (expit(t) - y) @ feats + inv_g * x
-            return u, grad
+            return x, x @ feats.T
+
+        def value(x, t):
+            return np.sum(np.logaddexp(0.0, t) - y * t, axis=-1) + prior_value(x)
+
+        def grad(x, t):
+            return (expit(t) - y) @ feats + inv_g * x
 
     elif kind == "probit":
 
-        def value_and_grad(x):
+        def shared(x):
             x = np.asarray(x, dtype=np.float64)
             t = x @ feats.T
+            return x, t, log_ndtr(t), log_ndtr(-t)
+
+        def value(x, t, log_cdf_pos, log_cdf_neg):
+            return -np.sum(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) \
+                + prior_value(x)
+
+        def grad(x, t, log_cdf_pos, log_cdf_neg):
             log_phi = -0.5 * t * t - _LOG_SQRT_2PI
-            log_cdf_pos = log_ndtr(t)
-            log_cdf_neg = log_ndtr(-t)
-            u = -np.sum(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) \
-                + 0.5 * inv_g * np.sum(x * x, axis=-1)
             dl_dt = y * np.exp(log_phi - log_cdf_pos) \
                 - (1.0 - y) * np.exp(log_phi - log_cdf_neg)
-            grad = -dl_dt @ feats + inv_g * x
-            return u, grad
+            return -dl_dt @ feats + inv_g * x
 
     else:
         raise ValueError(f"unknown regression kind {kind!r}")
 
-    return _make_target(d, value_and_grad, f"{kind}-{dataset.label}")
+    return _make_target(d, shared, value, grad, f"{kind}-{dataset.label}")
 
 
 def logistic_target(dataset: Dataset, g: float = 100.0) -> TargetModel:

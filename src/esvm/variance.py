@@ -141,15 +141,6 @@ def _toeplitz_matvec(vec: np.ndarray, window: LagWindow) -> np.ndarray:
     return full[start : start + vec.size]
 
 
-def apply_weight_operator(vec: np.ndarray, window: LagWindow) -> np.ndarray:
-    """A @ vec with A = P W P / n, evaluated as center -> band -> center."""
-    vec = np.asarray(vec, dtype=np.float64)
-    c = vec - vec.mean()
-    u = _toeplitz_matvec(c, window)
-    u -= u.mean()
-    return u / vec.size
-
-
 def quadratic_form_apply(vec: np.ndarray, window: LagWindow) -> float:
     """z' A z computed matrix-free; agrees with `spectral_variance` to
     rounding error (both are the same quadratic form)."""

@@ -185,7 +185,47 @@ class TestRunExperiment:
             _mini_config(methods=("esvm", "bogus"))
 
 
+class TestStageTimings:
+    def test_every_stage_is_timed(self, mini_report):
+        assert set(mini_report.run_info["timings"]) == {
+            "train-sampling", "fit", "test-evaluation", "aggregate"}
+
+    def test_evaluation_with_parameters_times_aggregation(self, mini_report):
+        from esvm.harness import evaluate_with_parameters
+
+        cfg = _mini_config(n_train=400, n_test=400, n_test_chains=2, b_n_train=5)
+        thetas = {m.method: m.family["params"] for m in mini_report.methods}
+        report = evaluate_with_parameters(cfg, thetas)
+        assert set(report.run_info["timings"]) == {
+            "train-sampling", "test-evaluation", "aggregate"}
+
+
 class TestBnSweep:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_test_chains_sampled_once_for_all_values(self, monkeypatch, threads):
+        import esvm.harness as harness
+
+        cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=6,
+                           batch_size=4, threads=threads)
+        values = [4, 12, 30]
+        calls = []
+        sample = harness.sample_chains
+
+        def counting(config, target, streams, x0=None):
+            calls.append(list(streams))
+            return sample(config, target, streams, x0)
+
+        monkeypatch.setattr(harness, "sample_chains", counting)
+        rows = bn_sweep(cfg, values)
+        monkeypatch.undo()
+        assert sorted(calls) == [[1, 2, 3, 4], [5, 6]]
+        for row, b in zip(rows, values):
+            rep = run_experiment(_mini_config(n_train=1000, n_test=1000, n_test_chains=6,
+                                              batch_size=4, b_n_train=b))
+            assert rep.methods[0].method == "esvm"
+            assert row["mean_vrf"] == rep.methods[0].mean_vrf
+            assert row["infinite_count"] == rep.methods[0].infinite_count
+
     def test_single_value_matches_run_experiment(self):
         cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=4, b_n_train=12)
         rows = bn_sweep(cfg, [12])

@@ -28,6 +28,32 @@ def _audit_gradient(target, probes, scale=2.0, seed=0, tol=1e-5):
     assert worst < tol, f"{target.label}: worst relative gradient error {worst}"
 
 
+_TARGETS = {
+    "gmm": lambda: gmm_target(0.35, np.array([0.4, -0.7]),
+                              np.array([[1.3, 0.2], [0.2, 0.6]])),
+    "gmm_isolated": lambda: gmm_isolated_target(0.4, -3.0, 1.0, -4.0, 0.5),
+    "banana": lambda: banana_target(100.0, 0.1, 4),
+    "logistic": lambda: logistic_target(synthetic_logistic_dataset(200, 5, k_test=40, seed=3)),
+    "probit": lambda: probit_target(synthetic_logistic_dataset(200, 5, k_test=40, seed=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_potential_and_gradient_match_value_and_grad_bit_for_bit(name):
+    # the samplers call whichever entry point they need, so a chain must not
+    # depend on which one produced its numbers
+    t = _TARGETS[name]()
+    rng = np.random.default_rng(21)
+    batch = 2.0 * rng.standard_normal((25, t.dim))
+    tail = 1e3 * batch / np.linalg.norm(batch, axis=1, keepdims=True)
+    for x in (batch[0], batch, tail[0], tail):
+        u, g = t.value_and_grad(x)
+        assert np.shape(u) == x.shape[:-1] and g.shape == x.shape
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
+        assert np.array_equal(t.potential(x), u)
+        assert np.array_equal(t.gradient(x), g)
+
+
 class TestGmmTarget:
     def test_symmetric_mixture_moments(self):
         t = gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2))
