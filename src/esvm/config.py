@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .harness import ExperimentConfig, FunctionalSpec
+from .harness import DEFAULT_BATCH_SIZE, ExperimentConfig, FunctionalSpec
 from .stein import SteinFamily
 from .targets import (
     banana_target,
@@ -115,7 +115,7 @@ def experiment_from_dict(doc: dict, seed_override=None, threads=None) -> Experim
             dataset=dataset,
             regression_kind=regression_kind,
             ridge=None if doc.get("ridge") is None else float(doc["ridge"]),
-            batch_size=int(doc.get("batch_size", 25)),
+            batch_size=int(doc.get("batch_size", DEFAULT_BATCH_SIZE)),
             threads=int(threads if threads is not None else doc.get("threads", 1)),
         )
     except ConfigError:

@@ -2,11 +2,12 @@
 held-out chains, and emit machine-readable reports.
 
 Protocol for one experiment: sample a training chain of n_burn + n_train
-states and drop the burn-in; fit each requested method on it; sample
+states and keep the last n_train; fit each requested method on it; sample
 n_test_chains independent chains (streams 1..N of the same master seed) of
-n_burn + n_test states; on every test chain compute the windowed long-run
-variance of the raw functional and of each adjusted functional, their ratio
-(the variance reduction factor), and the ergodic averages. Both methods are
+n_burn + n_test states, in lock-step batches of batch_size, keeping the last
+n_test; on every test chain compute the windowed long-run variance of the raw
+functional and of each adjusted functional, their ratio (the variance
+reduction factor), and the ergodic averages. Both methods are
 scored on the same test chains, never resampled.
 
 Reports are deterministic functions of the configuration: floats are written
@@ -20,14 +21,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .chains import SeedKey, Trajectory, ergodic_average, split_burn_in
+from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
 from .fitting import DesignSet, FitResult, RbfResponse, fit
 from .samplers import SamplerConfig, sample_chain, sample_chains
@@ -36,6 +37,11 @@ from .targets import Dataset, TargetModel
 from .variance import LagWindow, default_truncation, spectral_variance
 
 SCHEMA_VERSION = 1
+
+# Test chains advanced together per lock-step sampler call. Large enough that
+# the per-step Python overhead is paid once for a typical experiment's test
+# chains; the sampler's memory beyond the kept states does not grow with it.
+DEFAULT_BATCH_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ class ExperimentConfig:
     dataset: Optional[Dataset] = None
     regression_kind: Optional[str] = None
     ridge: Optional[float] = None
-    batch_size: int = 25
+    batch_size: int = DEFAULT_BATCH_SIZE
     threads: int = 1
 
     def __post_init__(self):
@@ -297,17 +303,22 @@ class _Stage:
         return False
 
 
-def train_chain(config: ExperimentConfig):
-    """Sample the training chain (stream 0) and drop its burn-in; returns the
-    trajectory and its acceptance statistics."""
-    sampler = SamplerConfig(
+def _sampler(config: ExperimentConfig, n_keep: int) -> SamplerConfig:
+    """Kernel settings for chains that keep n_keep states after the burn-in;
+    the stream index is set per chain."""
+    return SamplerConfig(
         kind=config.sampler_kind,
         gamma=config.gamma,
-        n_steps=config.n_burn + config.n_train,
+        n_steps=config.n_burn + n_keep,
         seed=SeedKey(config.seed, 0),
+        n_burn=config.n_burn,
     )
-    traj, stats = sample_chain(sampler, config.target, config.start_point())
-    return split_burn_in(traj, config.n_burn) if config.n_burn else traj, stats
+
+
+def train_chain(config: ExperimentConfig):
+    """Sample the training chain (stream 0) past its burn-in; returns the
+    trajectory of n_train states and its acceptance statistics."""
+    return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
 def _build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
@@ -339,17 +350,11 @@ def _evaluate_batch(config: ExperimentConfig, streams, fits: dict, window: LagWi
     """Sample one batch of test chains and score every fit on each chain;
     `fits` may be keyed by method name or, in a sweep, by truncation."""
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
-    sampler = SamplerConfig(
-        kind=config.sampler_kind,
-        gamma=config.gamma,
-        n_steps=config.n_burn + config.n_test,
-        seed=SeedKey(config.seed, 0),
-    )
+    sampler = _sampler(config, config.n_test)
     rows = []
-    for (traj, stats), stream in zip(
+    for (chain, stats), stream in zip(
         sample_chains(sampler, config.target, streams, config.start_point()), streams
     ):
-        chain = split_burn_in(traj, config.n_burn) if config.n_burn else traj
         f_values = functional(chain.states)
         v_plain = spectral_variance(f_values, window).value
         row = {
@@ -487,8 +492,6 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
 
 
 def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
-    from dataclasses import replace
-
     return replace(config, methods=methods)
 
 
@@ -504,9 +507,13 @@ def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
     with _Stage("train-sampling", timings):
         train, _ = train_chain(config)
     fits = {}
+    design = None
     for b in bn_values:
         with _Stage(f"fit[b_n={b}]", timings):
-            design = _build_design(config, train, LagWindow(int(b)))
+            # Only the window depends on b_n: build the design once.
+            window = LagWindow(int(b))
+            design = (_build_design(config, train, window) if design is None
+                      else replace(design, window=window))
             fits[int(b)] = fit(design, config.family, "esvm", ridge=config.ridge)
     with _Stage("test-evaluation", timings):
         rows = _evaluate_stage(config, fits) if fits else []

@@ -11,7 +11,9 @@ one stream of uniforms (one per step, MALA/RWM only). Blocks of either kind
 can therefore be drawn up front without changing the chain, which lets many
 chains advance in lock-step as (C, d) array operations while each remains a
 pure function of its own key. Rejected proposals consume exactly the same
-draws as accepted ones.
+draws as accepted ones. Noise is drawn in blocks of NOISE_BLOCK steps, and
+burn-in states are never stored, so a run holds only its kept states plus
+buffers whose size does not grow with the chain length.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .errors import NumericError
 
 SAMPLER_KINDS = ("ula", "mala", "rwm")
 
+# Steps per noise block; also the stride of the ULA finiteness check.
+NOISE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -33,6 +38,7 @@ class SamplerConfig:
     gamma: float
     n_steps: int
     seed: SeedKey
+    n_burn: int = 0
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
@@ -41,6 +47,8 @@ class SamplerConfig:
             raise ValueError("step size must be positive")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
+        if not 0 <= self.n_burn < self.n_steps:
+            raise ValueError("burn-in must satisfy 0 <= n_burn < n_steps")
 
 
 @dataclass
@@ -110,94 +118,119 @@ def rwm_step(x: np.ndarray, target, gamma: float, rng: np.random.Generator):
     return (y, True) if accepted else (x.copy(), False)
 
 
-def _simulate(kind: str, target, gamma: float, n_steps: int, x0: np.ndarray,
-              keys: Sequence[SeedKey]):
-    """Advance len(keys) chains in lock-step. Returns states (n, C, d),
-    per-chain accept counts and per-chain non-finite-ratio counts.
+def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, m: int, d: int):
+    """Yield (start, noise, log_u) for consecutive blocks of at most
+    NOISE_BLOCK steps out of m: noise[t] is the pre-scaled (C, d) proposal
+    noise of step start + t, log_u[t] the (C,) log-uniforms (None for ULA).
 
-    Time-major layout keeps every per-step slice contiguous; noise is drawn
-    in per-chain blocks and pre-scaled once.
+    Each chain's generators are advanced block by block, which yields the
+    same values as drawing all m steps at once. The buffers are reused, so a
+    yielded block is valid only until the next one is drawn.
+    """
+    n_chains = len(keys)
+    size = min(NOISE_BLOCK, m)
+    normals = [key.generator(ROLE_NORMAL) for key in keys]
+    uniforms = [key.generator(ROLE_UNIFORM) for key in keys] if kind != "ula" else []
+    noise_buf = np.empty((size, n_chains, d))
+    log_u_buf = np.empty((size, n_chains)) if uniforms else None
+    scale = np.sqrt(2.0 * gamma) if kind != "rwm" else np.sqrt(gamma)
+    for start in range(0, m, size):
+        b = min(size, m - start)
+        noise = noise_buf[:b]
+        for i, gen in enumerate(normals):
+            noise[:, i, :] = gen.standard_normal((b, d))
+        noise *= scale
+        log_u = None
+        if uniforms:
+            log_u = log_u_buf[:b]
+            for i, gen in enumerate(uniforms):
+                log_u[:, i] = gen.random(b)
+            with np.errstate(divide="ignore"):
+                np.log(log_u, out=log_u)
+        yield start, noise, log_u
+
+
+def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
+              x0: np.ndarray, keys: Sequence[SeedKey]):
+    """Advance len(keys) chains in lock-step for n_steps states (x0 is state
+    0). Returns the kept states (n_steps - n_burn, C, d), per-chain accept
+    counts and per-chain non-finite-ratio counts; the counts cover all
+    n_steps - 1 proposals, burn-in included.
+
+    Time-major layout keeps every per-step slice contiguous. Burn-in states
+    live in a two-slot scratch buffer and are never stored, and noise is
+    drawn one block of steps at a time, so memory beyond the kept states is
+    flat in n_steps.
     """
     n_chains = len(keys)
     d = x0.shape[-1]
     m = n_steps - 1
-    states = np.empty((n_steps, n_chains, d))
-    states[0] = np.broadcast_to(x0, (n_chains, d))
+    states = np.empty((n_steps - n_burn, n_chains, d))
+    scratch = np.empty((2, n_chains, d))
+    x = scratch[0] if n_burn else states[0]
+    x[...] = x0
     accepted = np.zeros(n_chains, dtype=np.int64)
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     if m == 0:
         return states, accepted, nonfinite
 
-    # (m, C, d): step-major so noise[k] is one contiguous read.
-    noise = np.empty((m, n_chains, d))
-    for i, key in enumerate(keys):
-        noise[:, i, :] = key.generator(ROLE_NORMAL).standard_normal((m, d))
-    noise *= np.sqrt(2.0 * gamma) if kind != "rwm" else np.sqrt(gamma)
-    if kind != "ula":
-        uniforms = np.empty((m, n_chains))
-        for i, key in enumerate(keys):
-            uniforms[:, i] = key.generator(ROLE_UNIFORM).random(m)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(uniforms)
-
+    if kind == "ula":
+        buf = np.empty((n_chains, d))
+    elif kind == "mala":
+        cur_u, cur_g = target.value_and_grad(x)
+    else:
+        cur_u = target.potential(x)
     # Non-finite intermediates are an expected, handled condition here:
     # Metropolis kernels reject them, the unadjusted kernel turns them into
     # an error below. Keep the arithmetic quiet either way.
-    if kind == "ula":
-        buf = np.empty((n_chains, d))
-        x = states[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Chunked stepping keeps the per-step work to a handful of array
-            # ops; non-finite values are sticky in this recursion, so one
-            # check per chunk still pins down the first bad window.
-            start = 0
-            while start < m:
-                stop = min(start + 1024, m)
-                for nxt, nz in zip(states[start + 1 : stop + 1], noise[start:stop]):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, noise, log_u in _noise_blocks(kind, keys, gamma, m, d):
+            # States lo..hi-1 are written in this block: burn-in states
+            # alternate between the scratch slots, kept ones go to `states`.
+            lo, hi = start + 1, start + 1 + len(noise)
+            mid = min(max(lo, n_burn), hi)
+            slots = [scratch[j & 1] for j in range(lo, mid)]
+            if hi > n_burn:
+                slots.extend(states[mid - n_burn : hi - n_burn])
+            if kind == "ula":
+                for nxt, nz in zip(slots, noise):
                     np.multiply(target.gradient(x), gamma, out=buf)
                     np.subtract(x, buf, out=nxt)
                     nxt += nz
                     x = nxt
-                if not np.all(np.isfinite(states[stop])):
+                # Non-finite values are sticky in this recursion, so one
+                # check per block still pins down the first bad window.
+                if not np.all(np.isfinite(x)):
                     raise NumericError(
-                        f"non-finite gradient within steps {start}..{stop} "
+                        f"non-finite gradient within steps {start}..{hi - 1} "
                         "(diverging chain?)"
                     )
-                start = stop
-    elif kind == "mala":
-        x = states[0]
-        cur_u, cur_g = target.value_and_grad(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(m):
-                prop = x - gamma * cur_g + noise[k]
-                prop_u, prop_g = target.value_and_grad(prop)
-                log_alpha = mala_log_acceptance(x, prop, cur_u, prop_u, cur_g, prop_g, gamma)
-                ok = np.isfinite(log_alpha)
-                acc = ok & (log_u[k] < np.where(ok, log_alpha, 0.0))
-                nonfinite += ~ok
-                accepted += acc
-                mask = acc[:, None]
-                nxt = states[k + 1]
-                np.copyto(nxt, np.where(mask, prop, x))
-                cur_u = np.where(acc, prop_u, cur_u)
-                cur_g = np.where(mask, prop_g, cur_g)
-                x = nxt
-    else:  # rwm
-        x = states[0]
-        cur_u = target.potential(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(m):
-                prop = x + noise[k]
-                prop_u = target.potential(prop)
-                log_alpha = rwm_log_acceptance(cur_u, prop_u)
-                ok = np.isfinite(log_alpha)
-                acc = ok & (log_u[k] < np.where(ok, log_alpha, 0.0))
-                nonfinite += ~ok
-                accepted += acc
-                nxt = states[k + 1]
-                np.copyto(nxt, np.where(acc[:, None], prop, x))
-                cur_u = np.where(acc, prop_u, cur_u)
-                x = nxt
+            elif kind == "mala":
+                for nxt, nz, lu in zip(slots, noise, log_u):
+                    prop = x - gamma * cur_g + nz
+                    prop_u, prop_g = target.value_and_grad(prop)
+                    log_alpha = mala_log_acceptance(x, prop, cur_u, prop_u, cur_g, prop_g, gamma)
+                    ok = np.isfinite(log_alpha)
+                    acc = ok & (lu < np.where(ok, log_alpha, 0.0))
+                    nonfinite += ~ok
+                    accepted += acc
+                    mask = acc[:, None]
+                    np.copyto(nxt, np.where(mask, prop, x))
+                    cur_u = np.where(acc, prop_u, cur_u)
+                    cur_g = np.where(mask, prop_g, cur_g)
+                    x = nxt
+            else:  # rwm
+                for nxt, nz, lu in zip(slots, noise, log_u):
+                    prop = x + nz
+                    prop_u = target.potential(prop)
+                    log_alpha = rwm_log_acceptance(cur_u, prop_u)
+                    ok = np.isfinite(log_alpha)
+                    acc = ok & (lu < np.where(ok, log_alpha, 0.0))
+                    nonfinite += ~ok
+                    accepted += acc
+                    np.copyto(nxt, np.where(acc[:, None], prop, x))
+                    cur_u = np.where(acc, prop_u, cur_u)
+                    x = nxt
     return states, accepted, nonfinite
 
 
@@ -213,28 +246,14 @@ def _check_x0(target, x0) -> np.ndarray:
 
 
 def sample_chain(config: SamplerConfig, target, x0=None):
-    """Run one chain of config.n_steps states (x0 included as state 0).
+    """Run one chain of config.n_steps states (x0 included as state 0) and
+    keep the last n_steps - n_burn of them.
 
     Deterministic given (config, target, x0): rerunning with the same SeedKey
-    reproduces the trajectory bit for bit.
+    reproduces the trajectory bit for bit, and the kept states equal the
+    matching suffix of the chain run without burn-in.
     """
-    x0 = _check_x0(target, x0)
-    states, accepted, nonfinite = _simulate(
-        config.kind, target, config.gamma, config.n_steps, x0, [config.seed]
-    )
-    m = config.n_steps - 1
-    stats = AcceptanceStats(
-        proposed=m,
-        accepted=m if config.kind == "ula" else int(accepted[0]),
-        nonfinite_log_alpha=int(nonfinite[0]),
-    )
-    meta = TrajectoryMeta(
-        sampler=config.kind,
-        gamma=config.gamma,
-        seed_master=config.seed.master,
-        seed_stream=config.seed.stream,
-    )
-    return Trajectory(states[:, 0, :], meta), stats
+    return sample_chains(config, target, [config.seed.stream], x0)[0]
 
 
 def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None):
@@ -243,7 +262,7 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
     x0 = _check_x0(target, x0)
     keys = [config.seed.with_stream(s) for s in streams]
     states, accepted, nonfinite = _simulate(
-        config.kind, target, config.gamma, config.n_steps, x0, keys
+        config.kind, target, config.gamma, config.n_steps, config.n_burn, x0, keys
     )
     m = config.n_steps - 1
     out = []
@@ -258,6 +277,7 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
             gamma=config.gamma,
             seed_master=config.seed.master,
             seed_stream=stream,
+            burn_in_removed=config.n_burn > 0,
         )
         out.append((Trajectory(states[:, i, :], meta), stats))
     return out

@@ -36,6 +36,10 @@ from esvm.variance import (
     weight_matrix_oracle,
 )
 
+# Every test here is part of the gate; `pytest -m "not acceptance"` runs the
+# fast suite without it.
+pytestmark = pytest.mark.acceptance
+
 MASTER_SEED = 2024
 
 

@@ -226,6 +226,28 @@ class TestBnSweep:
             assert row["mean_vrf"] == rep.methods[0].mean_vrf
             assert row["infinite_count"] == rep.methods[0].infinite_count
 
+    def test_training_design_built_once(self):
+        # RWM never calls the gradient, so every full-length call on the
+        # training states comes from building the design
+        from dataclasses import replace
+
+        cfg = _mini_config(sampler_kind="rwm", gamma=0.5, n_train=1000, n_test=600,
+                           n_test_chains=2)
+        gradient = cfg.target.gradient
+        rows_seen = []
+
+        def counting(x):
+            rows_seen.append(np.shape(x)[0])
+            return gradient(x)
+
+        cfg = replace(cfg, target=replace(cfg.target, gradient=counting))
+        rows = bn_sweep(cfg, [4, 12, 30])
+        assert rows_seen.count(cfg.n_train) == 1
+        assert rows_seen.count(cfg.n_test) == cfg.n_test_chains
+        plain = bn_sweep(_mini_config(sampler_kind="rwm", gamma=0.5, n_train=1000,
+                                      n_test=600, n_test_chains=2), [4, 12, 30])
+        assert rows == plain
+
     def test_single_value_matches_run_experiment(self):
         cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=4, b_n_train=12)
         rows = bn_sweep(cfg, [12])

@@ -1,11 +1,14 @@
 """Markov kernels: single steps, full chains, determinism, acceptance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from esvm.chains import ROLE_NORMAL, ROLE_UNIFORM, SeedKey
 from esvm.errors import NumericError
 from esvm.samplers import (
+    NOISE_BLOCK,
     AcceptanceStats,
     SamplerConfig,
     mala_log_acceptance,
@@ -15,7 +18,21 @@ from esvm.samplers import (
     sample_chains,
     ula_step,
 )
-from esvm.targets import TargetModel, gmm_target
+from esvm.targets import (
+    TargetModel,
+    banana_target,
+    gmm_target,
+    logistic_target,
+    synthetic_logistic_dataset,
+)
+
+KERNELS = [("ula", 0.1), ("mala", 1.0), ("rwm", 0.5)]
+
+# Target and start point; the banana chains start on the ridge, x0 = (sqrt(p), 0).
+LOCK_STEP_TARGETS = {
+    "gmm": (gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)), None),
+    "banana": (banana_target(100.0, 0.1, 2), (10.0, 0.0)),
+}
 
 
 def _standard_gaussian(d):
@@ -169,6 +186,14 @@ class TestSampleChain:
             ref.append(x.copy())
         np.testing.assert_array_equal(traj.states, np.asarray(ref))
 
+    @pytest.mark.parametrize("n_burn", [0, 1500])
+    def test_diverging_ula_chain_raises(self, n_burn):
+        # gamma = 3 doubles |x| every step on the standard Gaussian, so the
+        # chain overflows inside the first noise block
+        cfg = SamplerConfig("ula", 3.0, 2000, SeedKey(4, 0), n_burn=n_burn)
+        with pytest.raises(NumericError, match="within steps 0..1024"):
+            sample_chains(cfg, _standard_gaussian(2), [1, 2], x0=np.array([1e300, 0.0]))
+
     def test_ula_accepts_everything(self):
         target = _standard_gaussian(1)
         _, stats = sample_chain(SamplerConfig("ula", 0.2, 100, SeedKey(1, 0)), target)
@@ -193,16 +218,51 @@ class TestSampleChain:
             np.testing.assert_array_equal(traj.states[k + 1], x)
 
     def test_batched_equals_sequential(self):
-        target = gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2))
-        for kind, gamma in [("ula", 0.1), ("mala", 1.0), ("rwm", 0.5)]:
-            cfg = SamplerConfig(kind, gamma, 300, SeedKey(42, 0))
-            batch = sample_chains(cfg, target, streams=[1, 2, 5])
-            for (traj, stats), stream in zip(batch, [1, 2, 5]):
-                solo, solo_stats = sample_chain(
-                    SamplerConfig(kind, gamma, 300, SeedKey(42, stream)), target
-                )
-                np.testing.assert_array_equal(traj.states, solo.states)
-                assert stats == solo_stats
+        # the longer chains cross a noise-block boundary
+        for target, x0 in LOCK_STEP_TARGETS.values():
+            for (kind, gamma), n_steps in itertools.product(KERNELS, [300, NOISE_BLOCK + 300]):
+                cfg = SamplerConfig(kind, gamma, n_steps, SeedKey(42, 0))
+                batch = sample_chains(cfg, target, streams=[1, 2, 5], x0=x0)
+                for (traj, stats), stream in zip(batch, [1, 2, 5]):
+                    solo, solo_stats = sample_chain(
+                        SamplerConfig(kind, gamma, n_steps, SeedKey(42, stream)), target, x0
+                    )
+                    np.testing.assert_array_equal(traj.states, solo.states)
+                    assert stats == solo_stats
+
+    @pytest.mark.parametrize("name", sorted(LOCK_STEP_TARGETS))
+    @pytest.mark.parametrize("kind, gamma", KERNELS)
+    @pytest.mark.parametrize("n_burn", [700, 1500, 2599])
+    def test_burn_in_keeps_the_suffix(self, name, kind, gamma, n_burn):
+        # 2600 steps cross three noise blocks; the burn-in ends inside the
+        # first block, inside the second after filling the first, or at the
+        # last state
+        target, x0 = LOCK_STEP_TARGETS[name]
+        full, full_stats = sample_chain(
+            SamplerConfig(kind, gamma, 2600, SeedKey(8, 3)), target, x0)
+        kept, kept_stats = sample_chain(
+            SamplerConfig(kind, gamma, 2600, SeedKey(8, 3), n_burn=n_burn), target, x0)
+        np.testing.assert_array_equal(kept.states, full.states[n_burn:])
+        assert kept_stats == full_stats
+        assert kept_stats.proposed == 2599
+        assert kept.meta.burn_in_removed and not full.meta.burn_in_removed
+
+    def test_logistic_trajectories_do_not_depend_on_batch_size(self):
+        # the posterior's row products go through a matrix-matrix product for
+        # every batch of two or more chains; a lone chain is not compared
+        target = logistic_target(synthetic_logistic_dataset(), 100.0)
+        cfg = SamplerConfig("ula", 0.1, 300, SeedKey(77, 0))
+        streams = [1, 2, 3, 4, 5, 6]
+        runs = {}
+        for size in (2, 3, 6):
+            runs[size] = [
+                traj.states
+                for i in range(0, len(streams), size)
+                for traj, _ in sample_chains(cfg, target, streams[i : i + size])
+            ]
+        for size in (3, 6):
+            for a, b in zip(runs[2], runs[size]):
+                np.testing.assert_array_equal(a, b)
 
     def test_mala_mean_within_spectral_standard_errors(self):
         from esvm.variance import LagWindow, default_truncation, spectral_variance
@@ -223,3 +283,8 @@ class TestSampleChain:
             SamplerConfig("ula", -0.1, 10, SeedKey(0, 0))
         with pytest.raises(ValueError):
             SamplerConfig("ula", 0.1, 0, SeedKey(0, 0))
+        with pytest.raises(ValueError):
+            SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=-1)
+        with pytest.raises(ValueError):
+            SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=10)
+        SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=9)
