@@ -88,14 +88,19 @@ class Trajectory:
 
     def __post_init__(self):
         arr = np.array(self.states, dtype=np.float64, order="C", copy=True)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("a trajectory needs at least one state of fixed dimension")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite state admitted into a trajectory")
-        arr.flags.writeable = False
-        object.__setattr__(self, "states", arr)
+        object.__setattr__(self, "states", _frozen_states(arr))
+
+    @classmethod
+    def adopt(cls, states: np.ndarray, meta: TrajectoryMeta) -> "Trajectory":
+        """Wrap a C-ordered float64 array without copying it. Only for a
+        producer that made `states` for this trajectory alone and keeps no
+        writable reference to it; everyone else uses the copying constructor."""
+        if states.dtype != np.float64 or not states.flags.c_contiguous:
+            raise ValueError("adopted states must be C-ordered float64")
+        traj = cls.__new__(cls)
+        object.__setattr__(traj, "states", _frozen_states(states))
+        object.__setattr__(traj, "meta", meta)
+        return traj
 
     @property
     def dim(self) -> int:
@@ -103,6 +108,17 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.states.shape[0]
+
+
+def _frozen_states(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError("a trajectory needs at least one state of fixed dimension")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite state admitted into a trajectory")
+    arr.flags.writeable = False
+    return arr
 
 
 def ergodic_average(values: np.ndarray) -> float:

@@ -4,11 +4,11 @@ held-out chains, and emit machine-readable reports.
 Protocol for one experiment: sample a training chain of n_burn + n_train
 states and keep the last n_train; fit each requested method on it; sample
 n_test_chains independent chains (streams 1..N of the same master seed) of
-n_burn + n_test states, in lock-step batches of batch_size, keeping the last
-n_test; on every test chain compute the windowed long-run variance of the raw
-functional and of each adjusted functional, their ratio (the variance
-reduction factor), and the ergodic averages. Both methods are
-scored on the same test chains, never resampled.
+n_burn + n_test states, in lock-step batches of at most batch_size, keeping
+the last n_test; on every test chain compute the windowed long-run variance of
+the raw functional and of each adjusted functional, their ratio (the variance
+reduction factor), and the ergodic averages. Both methods are scored on the
+same test chains, never resampled.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -42,6 +42,11 @@ SCHEMA_VERSION = 1
 # the per-step Python overhead is paid once for a typical experiment's test
 # chains; the sampler's memory beyond the kept states does not grow with it.
 DEFAULT_BATCH_SIZE = 100
+
+# Most bytes of kept test-chain states one batch may hold. Batches of long
+# chains are cut below batch_size to stay within it: 41 chains of 100 000
+# two-dimensional states.
+TEST_BATCH_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -346,6 +351,14 @@ def _batched(streams: Sequence[int], size: int):
         yield list(streams[i : i + size])
 
 
+def _chains_per_batch(config: ExperimentConfig) -> int:
+    """batch_size, cut so that a batch's kept states fit in TEST_BATCH_BYTES
+    (at least one chain). Depends on the configuration only, never on threads;
+    each worker thread holds one batch."""
+    per_chain = 8 * config.n_test * config.target.dim
+    return max(1, min(config.batch_size, TEST_BATCH_BYTES // per_chain))
+
+
 def _evaluate_batch(config: ExperimentConfig, streams, fits: dict, window: LagWindow):
     """Sample one batch of test chains and score every fit on each chain;
     `fits` may be keyed by method name or, in a sweep, by truncation."""
@@ -385,7 +398,7 @@ def _evaluate_batch(config: ExperimentConfig, streams, fits: dict, window: LagWi
 def _evaluate_stage(config: ExperimentConfig, fits: dict) -> list:
     streams = list(range(1, config.n_test_chains + 1))
     window = LagWindow(config.test_truncation)
-    batches = list(_batched(streams, max(1, config.batch_size)))
+    batches = list(_batched(streams, _chains_per_batch(config)))
     if config.threads > 1 and len(batches) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             chunks = list(pool.map(

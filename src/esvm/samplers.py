@@ -125,7 +125,8 @@ def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, m: int, d: i
 
     Each chain's generators are advanced block by block, which yields the
     same values as drawing all m steps at once. The buffers are reused, so a
-    yielded block is valid only until the next one is drawn.
+    yielded block is valid only until the next one is drawn, and the caller
+    may overwrite it.
     """
     n_chains = len(keys)
     size = min(NOISE_BLOCK, m)
@@ -153,26 +154,28 @@ def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, m: int, d: i
 def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
               x0: np.ndarray, keys: Sequence[SeedKey]):
     """Advance len(keys) chains in lock-step for n_steps states (x0 is state
-    0). Returns the kept states (n_steps - n_burn, C, d), per-chain accept
-    counts and per-chain non-finite-ratio counts; the counts cover all
+    0). Returns the kept states chain-major, (C, n_steps - n_burn, d), per-chain
+    accept counts and per-chain non-finite-ratio counts; the counts cover all
     n_steps - 1 proposals, burn-in included.
 
-    Time-major layout keeps every per-step slice contiguous. Burn-in states
-    live in a two-slot scratch buffer and are never stored, and noise is
-    drawn one block of steps at a time, so memory beyond the kept states is
-    flat in n_steps.
+    Each step writes its new states over its own, already used, slot of the
+    time-major noise block, so every per-step slice is contiguous and the
+    block's kept states are copied out per chain once it is done. Burn-in
+    states are never stored, and memory beyond the kept states is flat in
+    n_steps.
     """
     n_chains = len(keys)
     d = x0.shape[-1]
     m = n_steps - 1
-    states = np.empty((n_steps - n_burn, n_chains, d))
-    scratch = np.empty((2, n_chains, d))
-    x = scratch[0] if n_burn else states[0]
+    kept = np.empty((n_chains, n_steps - n_burn, d))
+    x = np.empty((n_chains, d))
     x[...] = x0
+    if n_burn == 0:
+        kept[:, 0] = x
     accepted = np.zeros(n_chains, dtype=np.int64)
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     if m == 0:
-        return states, accepted, nonfinite
+        return kept, accepted, nonfinite
 
     if kind == "ula":
         buf = np.empty((n_chains, d))
@@ -185,18 +188,14 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
     # an error below. Keep the arithmetic quiet either way.
     with np.errstate(over="ignore", invalid="ignore"):
         for start, noise, log_u in _noise_blocks(kind, keys, gamma, m, d):
-            # States lo..hi-1 are written in this block: burn-in states
-            # alternate between the scratch slots, kept ones go to `states`.
+            # Slot t holds the noise of step start + t until that step
+            # overwrites it with state lo + t.
             lo, hi = start + 1, start + 1 + len(noise)
-            mid = min(max(lo, n_burn), hi)
-            slots = [scratch[j & 1] for j in range(lo, mid)]
-            if hi > n_burn:
-                slots.extend(states[mid - n_burn : hi - n_burn])
             if kind == "ula":
-                for nxt, nz in zip(slots, noise):
+                for nxt in noise:
                     np.multiply(target.gradient(x), gamma, out=buf)
-                    np.subtract(x, buf, out=nxt)
-                    nxt += nz
+                    np.subtract(x, buf, out=buf)
+                    nxt += buf
                     x = nxt
                 # Non-finite values are sticky in this recursion, so one
                 # check per block still pins down the first bad window.
@@ -206,8 +205,8 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
                         "(diverging chain?)"
                     )
             elif kind == "mala":
-                for nxt, nz, lu in zip(slots, noise, log_u):
-                    prop = x - gamma * cur_g + nz
+                for nxt, lu in zip(noise, log_u):
+                    prop = x - gamma * cur_g + nxt
                     prop_u, prop_g = target.value_and_grad(prop)
                     log_alpha = mala_log_acceptance(x, prop, cur_u, prop_u, cur_g, prop_g, gamma)
                     ok = np.isfinite(log_alpha)
@@ -220,8 +219,8 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
                     cur_g = np.where(mask, prop_g, cur_g)
                     x = nxt
             else:  # rwm
-                for nxt, nz, lu in zip(slots, noise, log_u):
-                    prop = x + nz
+                for nxt, lu in zip(noise, log_u):
+                    prop = x + nxt
                     prop_u = target.potential(prop)
                     log_alpha = rwm_log_acceptance(cur_u, prop_u)
                     ok = np.isfinite(log_alpha)
@@ -231,7 +230,12 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
                     np.copyto(nxt, np.where(acc[:, None], prop, x))
                     cur_u = np.where(acc, prop_u, cur_u)
                     x = nxt
-    return states, accepted, nonfinite
+            first = max(lo, n_burn)
+            if first < hi:
+                kept[:, first - n_burn : hi - n_burn] = noise[first - lo :].transpose(1, 0, 2)
+            # the next block is drawn into the same buffer
+            x = x.copy()
+    return kept, accepted, nonfinite
 
 
 def _check_x0(target, x0) -> np.ndarray:
@@ -258,10 +262,12 @@ def sample_chain(config: SamplerConfig, target, x0=None):
 
 def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None):
     """Run one chain per stream index, identical in law and in outcome to
-    calling `sample_chain` per stream, but advanced together for speed."""
+    calling `sample_chain` per stream, but advanced together for speed. The
+    trajectories are read-only views of one (C, n, d) array, so the kept
+    states are held once."""
     x0 = _check_x0(target, x0)
     keys = [config.seed.with_stream(s) for s in streams]
-    states, accepted, nonfinite = _simulate(
+    kept, accepted, nonfinite = _simulate(
         config.kind, target, config.gamma, config.n_steps, config.n_burn, x0, keys
     )
     m = config.n_steps - 1
@@ -279,5 +285,5 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
             seed_stream=stream,
             burn_in_removed=config.n_burn > 0,
         )
-        out.append((Trajectory(states[:, i, :], meta), stats))
+        out.append((Trajectory.adopt(kept[i], meta), stats))
     return out

@@ -41,6 +41,16 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             t.states[0, 0] = 1.0
 
+    def test_adopt_wraps_without_copying(self):
+        src = np.arange(6.0).reshape(3, 2)
+        t = Trajectory.adopt(src, TrajectoryMeta(sampler="ula"))
+        assert np.shares_memory(t.states, src) and not t.states.flags.writeable
+        assert t.meta.sampler == "ula"
+        with pytest.raises(ValueError):
+            Trajectory.adopt(np.zeros((2, 3)).T, TrajectoryMeta())
+        with pytest.raises(ValueError):
+            Trajectory.adopt(np.array([[np.nan, 0.0]]), TrajectoryMeta())
+
     def test_one_dimensional_input_promoted(self):
         t = Trajectory(np.arange(4.0))
         assert t.states.shape == (4, 1)

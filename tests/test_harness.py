@@ -200,6 +200,40 @@ class TestStageTimings:
             "train-sampling", "test-evaluation", "aggregate"}
 
 
+class TestBatching:
+    def test_batch_size_cut_to_the_state_budget(self):
+        from esvm.harness import _chains_per_batch
+
+        assert _chains_per_batch(_mini_config(batch_size=100, n_test=2000)) == 100
+        # the README example: 100 000 two-dimensional states per chain
+        assert _chains_per_batch(_mini_config(batch_size=100, n_test=100_000)) == 41
+        assert _chains_per_batch(_mini_config(batch_size=100, n_test=10**8)) == 1
+        assert _chains_per_batch(_mini_config(batch_size=4, n_test=100_000)) == 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_long_chains_split_into_smaller_batches(self, monkeypatch, threads):
+        import esvm.harness as harness
+
+        cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=6,
+                           batch_size=4, threads=threads)
+        calls = []
+        sample = harness.sample_chains
+
+        def counting(config, target, streams, x0=None):
+            calls.append(list(streams))
+            return sample(config, target, streams, x0)
+
+        reference = run_experiment(cfg)
+        monkeypatch.setattr(harness, "sample_chains", counting)
+        monkeypatch.setattr(harness, "TEST_BATCH_BYTES", 3 * 1000 * 2 * 8)
+        report = run_experiment(cfg)
+        monkeypatch.undo()
+        assert sorted(calls) == [[1, 2, 3], [4, 5, 6]]
+        assert report.vanilla == reference.vanilla
+        assert ([m.to_dict() for m in report.methods]
+                == [m.to_dict() for m in reference.methods])
+
+
 class TestBnSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_test_chains_sampled_once_for_all_values(self, monkeypatch, threads):

@@ -1,6 +1,7 @@
 """Markov kernels: single steps, full chains, determinism, acceptance."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ class TestSampleChain:
         assert kept_stats == full_stats
         assert kept_stats.proposed == 2599
         assert kept.meta.burn_in_removed and not full.meta.burn_in_removed
+
+    def test_kept_states_held_once(self):
+        # the trajectories are read-only views of one chain-major array; the
+        # burn-in and the noise live only in buffers of one block of steps
+        cfg = SamplerConfig("ula", 0.1, 21_000, SeedKey(9, 0), n_burn=1000)
+        tracemalloc.start()
+        try:
+            batch = sample_chains(cfg, _standard_gaussian(2), list(range(1, 41)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept_bytes = 40 * 20_000 * 2 * 8
+        assert peak < 1.5 * kept_bytes
+        for traj, _ in batch:
+            assert traj.states.shape == (20_000, 2)
+            assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
 
     def test_logistic_trajectories_do_not_depend_on_batch_size(self):
         # the posterior's row products go through a matrix-matrix product for
