@@ -22,14 +22,17 @@ from .errors import ConfigError, EsvmError
 from .harness import (
     acf_dump,
     bn_sweep,
+    build_design,
     emit_report,
     evaluate_with_parameters,
+    fit_methods,
     make_functional,
     run_experiment,
     train_chain,
     write_acf_csv,
     write_bn_sweep_csv,
 )
+from .variance import LagWindow
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -86,13 +89,10 @@ def _cmd_sample(args, config) -> int:
 
 
 def _cmd_fit(args, config) -> int:
-    from .harness import _build_design, _fit_methods
-    from .variance import LagWindow
-
     out = _out_dir(args, config)
     traj, _ = train_chain(config)
-    design = _build_design(config, traj, LagWindow(config.train_truncation))
-    fits = _fit_methods(config, design)
+    design = build_design(config, traj, LagWindow(config.train_truncation))
+    fits = fit_methods(config, design)
     doc = {
         "name": config.name,
         "family": config.family.describe(),

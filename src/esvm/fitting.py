@@ -10,7 +10,7 @@ descent with a backtracking line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -172,7 +172,11 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
 
     The window operator is not positive definite, so the stationary point is
     accepted only if it does not increase the criterion; otherwise (or on a
-    failed solve) the quasi-Newton path takes over from zero."""
+    failed solve) the quasi-Newton path takes over from zero. A negative
+    criterion is not a variance minimum: the fit has followed the window's
+    negative directions (to a saddle, or without bound along the fallback's
+    descent), so such a result is returned as it is but with
+    converged=False."""
     if design.features is None:
         raise ValueError("linear solve needs a feature matrix")
     if objective_kind not in OBJECTIVES:
@@ -198,10 +202,11 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
         theta = None
 
     value_zero = objective(np.zeros(p), design)[0]
+    result = None
     if theta is not None:
         value_theta = objective(theta, design)[0]
         if value_theta <= value_zero + MONOTONE_SLACK * abs(value_zero):
-            return FitResult(
+            result = FitResult(
                 theta=theta,
                 objective_at_theta=value_theta,
                 objective_at_zero=value_zero,
@@ -209,8 +214,12 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
                 iterations=1,
                 converged=True,
             )
-    return fit_quasi_newton(lambda t: objective(t, design), np.zeros(p),
-                            **(qn_options or {}))
+    if result is None:
+        result = fit_quasi_newton(lambda t: objective(t, design), np.zeros(p),
+                                  **(qn_options or {}))
+    if result.objective_at_theta < 0.0:
+        result = replace(result, converged=False)
+    return result
 
 
 def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,

@@ -326,7 +326,10 @@ def train_chain(config: ExperimentConfig):
     return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
-def _build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
+def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
+    """The training problem on a training trajectory: the functional's values,
+    the family's features (or, for the bump family, its response oracle) and
+    the lag window of the spectral criterion."""
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
     f_values = functional(train.states)
     grads = config.target.gradient(train.states)
@@ -339,7 +342,8 @@ def _build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow
     return DesignSet(f_values=f_values, window=window, response=response)
 
 
-def _fit_methods(config: ExperimentConfig, design: DesignSet) -> dict:
+def fit_methods(config: ExperimentConfig, design: DesignSet) -> dict:
+    """Fit every method of the configuration on one design; method -> FitResult."""
     return {
         method: fit(design, config.family, method, ridge=config.ridge)
         for method in config.methods
@@ -460,10 +464,16 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
     )
 
 
-def _with_timings(report: VRFReport, timings: dict) -> VRFReport:
+def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig) -> VRFReport:
     """Record the stage timings once every stage, aggregation included, has
-    closed."""
+    closed, and next to them the chain-steps each sampling stage advanced
+    (states per chain, burn-in included, times chains), so that chain-steps
+    per second can be read from the report."""
     report.run_info["timings"] = {k: round(v, 6) for k, v in timings.items()}
+    report.run_info["chain_steps"] = {
+        "train-sampling": config.n_burn + config.n_train,
+        "test-evaluation": config.n_test_chains * (config.n_burn + config.n_test),
+    }
     return report
 
 
@@ -474,13 +484,13 @@ def run_experiment(config: ExperimentConfig) -> VRFReport:
     with _Stage("train-sampling", timings):
         train, train_stats = train_chain(config)
     with _Stage("fit", timings):
-        design = _build_design(config, train, LagWindow(config.train_truncation))
-        fits = _fit_methods(config, design)
+        design = build_design(config, train, LagWindow(config.train_truncation))
+        fits = fit_methods(config, design)
     with _Stage("test-evaluation", timings):
         rows = _evaluate_stage(config, fits)
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
-    return _with_timings(report, timings)
+    return _with_timings(report, timings, config)
 
 
 def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFReport:
@@ -501,7 +511,7 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
         rows = _evaluate_stage(config, fits)
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
-    return _with_timings(report, timings)
+    return _with_timings(report, timings, config)
 
 
 def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
@@ -525,7 +535,7 @@ def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
         with _Stage(f"fit[b_n={b}]", timings):
             # Only the window depends on b_n: build the design once.
             window = LagWindow(int(b))
-            design = (_build_design(config, train, window) if design is None
+            design = (build_design(config, train, window) if design is None
                       else replace(design, window=window))
             fits[int(b)] = fit(design, config.family, "esvm", ridge=config.ridge)
     with _Stage("test-evaluation", timings):

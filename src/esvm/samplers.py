@@ -77,8 +77,8 @@ def ula_step(x: np.ndarray, grad_u, gamma: float, noise: np.ndarray) -> np.ndarr
 def mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma: float):
     """Log Metropolis ratio for the Langevin proposal, vectorized over
     leading axes. The Gaussian proposal normalizers cancel."""
-    fwd = np.sum((y - x + gamma * g_x) ** 2, axis=-1)
-    bwd = np.sum((x - y + gamma * g_y) ** 2, axis=-1)
+    fwd = np.add.reduce((y - x + gamma * g_x) ** 2, axis=-1)
+    bwd = np.add.reduce((x - y + gamma * g_y) ** 2, axis=-1)
     return u_x - u_y + (fwd - bwd) / (4.0 * gamma)
 
 
@@ -178,24 +178,41 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
         return kept, accepted, nonfinite
 
     if kind == "ula":
+        # Two buffers, so that the drift's subtraction does not write over
+        # its own input: on one-element arrays (one chain, d = 1) numpy
+        # skips its fast path for a ufunc whose output overlaps an input.
         buf = np.empty((n_chains, d))
-    elif kind == "mala":
-        cur_u, cur_g = target.value_and_grad(x)
+        drift = np.empty((n_chains, d))
     else:
-        cur_u = target.potential(x)
+        # The loop updates the current potential and gradient in place, so
+        # they are copied out of whatever the target returned.
+        cur_u = np.empty(n_chains)
+        if kind == "mala":
+            cur_g = np.empty((n_chains, d))
+            u, g = target.value_and_grad(x)
+            cur_g[...] = g
+        else:
+            u = target.potential(x)
+        cur_u[...] = u
+        size = min(NOISE_BLOCK, m)
+        finite = np.empty((size, n_chains), dtype=bool)
+        taken = np.empty((size, n_chains), dtype=bool)
     # Non-finite intermediates are an expected, handled condition here:
     # Metropolis kernels reject them, the unadjusted kernel turns them into
     # an error below. Keep the arithmetic quiet either way.
     with np.errstate(over="ignore", invalid="ignore"):
         for start, noise, log_u in _noise_blocks(kind, keys, gamma, m, d):
             # Slot t holds the noise of step start + t until that step
-            # overwrites it with state lo + t.
+            # overwrites it with state lo + t: the proposal is built in the
+            # slot, and rejected rows are then reset to the current state.
+            # The target may return views of the slot, so the current
+            # potential and gradient are updated before that reset.
             lo, hi = start + 1, start + 1 + len(noise)
             if kind == "ula":
                 for nxt in noise:
                     np.multiply(target.gradient(x), gamma, out=buf)
-                    np.subtract(x, buf, out=buf)
-                    nxt += buf
+                    np.subtract(x, buf, out=drift)
+                    nxt += drift
                     x = nxt
                 # Non-finite values are sticky in this recursion, so one
                 # check per block still pins down the first bad window.
@@ -205,31 +222,34 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
                         "(diverging chain?)"
                     )
             elif kind == "mala":
-                for nxt, lu in zip(noise, log_u):
-                    prop = x - gamma * cur_g + nxt
-                    prop_u, prop_g = target.value_and_grad(prop)
-                    log_alpha = mala_log_acceptance(x, prop, cur_u, prop_u, cur_g, prop_g, gamma)
-                    ok = np.isfinite(log_alpha)
-                    acc = ok & (lu < np.where(ok, log_alpha, 0.0))
-                    nonfinite += ~ok
-                    accepted += acc
+                for nxt, lu, ok, acc in zip(noise, log_u, finite, taken):
+                    nxt += x - gamma * cur_g
+                    prop_u, prop_g = target.value_and_grad(nxt)
+                    log_alpha = mala_log_acceptance(x, nxt, cur_u, prop_u, cur_g, prop_g, gamma)
+                    # A non-finite ratio (NaN compares false) is rejected.
+                    np.isfinite(log_alpha, out=ok)
+                    np.less(lu, log_alpha, out=acc)
+                    acc &= ok
                     mask = acc[:, None]
-                    np.copyto(nxt, np.where(mask, prop, x))
-                    cur_u = np.where(acc, prop_u, cur_u)
-                    cur_g = np.where(mask, prop_g, cur_g)
+                    np.copyto(cur_u, prop_u, where=acc)
+                    np.copyto(cur_g, prop_g, where=mask)
+                    np.copyto(nxt, x, where=~mask)
                     x = nxt
             else:  # rwm
-                for nxt, lu in zip(noise, log_u):
-                    prop = x + nxt
-                    prop_u = target.potential(prop)
+                for nxt, lu, ok, acc in zip(noise, log_u, finite, taken):
+                    nxt += x
+                    prop_u = target.potential(nxt)
                     log_alpha = rwm_log_acceptance(cur_u, prop_u)
-                    ok = np.isfinite(log_alpha)
-                    acc = ok & (lu < np.where(ok, log_alpha, 0.0))
-                    nonfinite += ~ok
-                    accepted += acc
-                    np.copyto(nxt, np.where(acc[:, None], prop, x))
-                    cur_u = np.where(acc, prop_u, cur_u)
+                    np.isfinite(log_alpha, out=ok)
+                    np.less(lu, log_alpha, out=acc)
+                    acc &= ok
+                    np.copyto(cur_u, prop_u, where=acc)
+                    np.copyto(nxt, x, where=~acc[:, None])
                     x = nxt
+            if kind != "ula":
+                b = len(noise)
+                nonfinite += b - np.count_nonzero(finite[:b], axis=0)
+                accepted += np.count_nonzero(taken[:b], axis=0)
             first = max(lo, n_burn)
             if first < hi:
                 kept[:, first - n_burn : hi - n_burn] = noise[first - lo :].transpose(1, 0, 2)

@@ -87,8 +87,8 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
         m2 = x + mu
         g1 = m1 @ sinv
         g2 = m2 @ sinv
-        a1 = log_w1 - 0.5 * np.sum(m1 * g1, axis=-1)
-        a2 = log_w2 - 0.5 * np.sum(m2 * g2, axis=-1)
+        a1 = log_w1 - 0.5 * np.add.reduce(m1 * g1, axis=-1)
+        a2 = log_w2 - 0.5 * np.add.reduce(m2 * g2, axis=-1)
         return g1, g2, a1, a2
 
     def value(g1, g2, a1, a2):
@@ -96,7 +96,7 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
 
     def grad(g1, g2, a1, a2):
         w1 = expit(a1 - a2)
-        return np.expand_dims(w1, -1) * g1 + np.expand_dims(1.0 - w1, -1) * g2
+        return w1[..., None] * g1 + (1.0 - w1)[..., None] * g2
 
     moments = {}
     for i in range(d):
@@ -134,7 +134,7 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
     def grad(z1, z2, a1, a2):
         w1 = expit(a1 - a2)
         du = w1 * (z1 / s[0]) + (1.0 - w1) * (z2 / s[1])
-        return np.expand_dims(du, -1)
+        return du[..., None]
 
     w = np.exp(log_w)
     moments = {
@@ -164,7 +164,7 @@ def banana_target(p: float, b: float, d: int) -> TargetModel:
         u = x1 * x1 / (2.0 * p) + bend * bend
         if d > 2:
             rest = x[..., 2:]
-            u = u + 0.5 * np.sum(rest * rest, axis=-1)
+            u = u + 0.5 * np.add.reduce(rest * rest, axis=-1)
         return u
 
     def grad(x, x1, bend):
@@ -298,7 +298,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
     inv_g = 1.0 / g
 
     def prior_value(x):
-        return 0.5 * inv_g * np.sum(x * x, axis=-1)
+        return 0.5 * inv_g * np.add.reduce(x * x, axis=-1)
 
     if kind == "logistic":
 
@@ -307,7 +307,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
             return x, x @ feats.T
 
         def value(x, t):
-            return np.sum(np.logaddexp(0.0, t) - y * t, axis=-1) + prior_value(x)
+            return np.add.reduce(np.logaddexp(0.0, t) - y * t, axis=-1) + prior_value(x)
 
         def grad(x, t):
             return (expit(t) - y) @ feats + inv_g * x
@@ -320,7 +320,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
             return x, t, log_ndtr(t), log_ndtr(-t)
 
         def value(x, t, log_cdf_pos, log_cdf_neg):
-            return -np.sum(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) \
+            return -np.add.reduce(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) \
                 + prior_value(x)
 
         def grad(x, t, log_cdf_pos, log_cdf_neg):

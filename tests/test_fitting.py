@@ -159,6 +159,30 @@ class TestSolveLinear:
         res = solve_linear(design, "esvm", ridge=0.0)
         assert res.theta[0] == pytest.approx(expect, rel=1e-8)
 
+    def test_negative_criterion_reported_unconverged(self):
+        # a wide window over a short series with many features: the windowed
+        # quadratic is indefinite and its stationary point has a negative
+        # criterion. The point is kept but not reported as converged.
+        rng = np.random.default_rng(6)
+        n, p = 80, 10
+        f = rng.standard_normal(n)
+        psi = rng.standard_normal((n, p))
+        design = DesignSet(f_values=f, window=LagWindow(60), features=psi)
+        res = solve_linear(design, "esvm", ridge=0.0)
+        assert res.method == "linear_solve"
+        assert res.objective_at_theta < 0.0 < res.objective_at_zero
+        assert not res.converged
+        _, grad = esvm_objective(res.theta, design)
+        assert np.max(np.abs(grad)) < 1e-10
+        # here the stationary point raises the criterion, and the fallback's
+        # descent runs without bound along a negative direction
+        runaway = solve_linear(_random_design(n=180, p=5, b_n=8, seed=15), "esvm", ridge=0.0)
+        assert runaway.method == "quasi_newton"
+        assert runaway.objective_at_theta < 0.0 and not runaway.converged
+        minimum = solve_linear(_random_design(), "esvm", ridge=0.0)
+        assert minimum.method == "linear_solve"
+        assert minimum.objective_at_theta >= 0.0 and minimum.converged
+
     def test_evm_equals_ridge_regression_oracle(self):
         rng = np.random.default_rng(14)
         n, p = 150, 5

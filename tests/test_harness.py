@@ -199,6 +199,32 @@ class TestStageTimings:
         assert set(report.run_info["timings"]) == {
             "train-sampling", "test-evaluation", "aggregate"}
 
+    def test_chain_steps_recorded_per_sampling_stage(self, monkeypatch, mini_report):
+        import esvm.harness as harness
+
+        cfg = _mini_config(n_train=500, n_test=400, n_test_chains=6, b_n_train=5)
+        steps = {}
+        sample_chain, sample_chains = harness.sample_chain, harness.sample_chains
+
+        def one(config, target, x0=None):
+            steps["train-sampling"] = steps.get("train-sampling", 0) + config.n_steps
+            return sample_chain(config, target, x0)
+
+        def many(config, target, streams, x0=None):
+            steps["test-evaluation"] = (steps.get("test-evaluation", 0)
+                                        + config.n_steps * len(streams))
+            return sample_chains(config, target, streams, x0)
+
+        monkeypatch.setattr(harness, "sample_chain", one)
+        monkeypatch.setattr(harness, "sample_chains", many)
+        thetas = {m.method: m.family["params"] for m in mini_report.methods}
+        for run in (lambda: run_experiment(cfg),
+                    lambda: harness.evaluate_with_parameters(cfg, thetas)):
+            steps.clear()
+            report = run()
+            assert steps == {"train-sampling": 700, "test-evaluation": 6 * 600}
+            assert report.run_info["chain_steps"] == steps
+
 
 class TestBatching:
     def test_batch_size_cut_to_the_state_budget(self):

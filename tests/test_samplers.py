@@ -14,6 +14,7 @@ from esvm.samplers import (
     SamplerConfig,
     mala_log_acceptance,
     mala_step,
+    rwm_log_acceptance,
     rwm_step,
     sample_chain,
     sample_chains,
@@ -48,6 +49,66 @@ def _standard_gaussian(d):
         value_and_grad=value_and_grad,
         label=f"gauss{d}",
     )
+
+
+def _box_gaussian(d, half_width, outside=np.inf, gradient_is_input=False):
+    """Standard Gaussian cut to the box |x_i| <= half_width: the potential is
+    `outside` (+inf, or -inf) beyond it, so a proposal that leaves the box
+    has a log ratio of -inf (or +inf) and must be rejected. The gradient
+    returns its input itself when gradient_is_input."""
+
+    def potential(x):
+        x = np.asarray(x, dtype=np.float64)
+        inside = np.all(np.abs(x) <= half_width, axis=-1)
+        return np.where(inside, 0.5 * np.add.reduce(x * x, axis=-1), outside)
+
+    def gradient(x):
+        x = np.asarray(x, dtype=np.float64)
+        return x if gradient_is_input else x.copy()
+
+    return TargetModel(
+        dim=d,
+        potential=potential,
+        gradient=gradient,
+        value_and_grad=lambda x: (potential(x), gradient(x)),
+        label=f"box-gauss{d}",
+    )
+
+
+def _replay(kind, target, gamma, n_steps, x0, key):
+    """One chain of a Metropolis kernel, step by step from the chain's own
+    normal and uniform substreams: the reference the lock-step kernel must
+    match bit for bit. Returns the states and the acceptance statistics."""
+    normals = key.generator(ROLE_NORMAL)
+    uniforms = key.generator(ROLE_UNIFORM)
+    scale = np.sqrt(2.0 * gamma) if kind == "mala" else np.sqrt(gamma)
+    x = np.array(x0, dtype=np.float64)
+    if kind == "mala":
+        u_x, g_x = target.value_and_grad(x)
+    else:
+        u_x = target.potential(x)
+    states = [x]
+    stats = AcceptanceStats(proposed=n_steps - 1)
+    for _ in range(n_steps - 1):
+        z = normals.standard_normal(x.size) * scale
+        if kind == "mala":
+            y = x - gamma * g_x + z
+            u_y, g_y = target.value_and_grad(y)
+            log_alpha = mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma)
+        else:
+            y = x + z
+            u_y = target.potential(y)
+            log_alpha = rwm_log_acceptance(u_x, u_y)
+        log_u = np.log(uniforms.random())
+        if not np.isfinite(log_alpha):
+            stats.nonfinite_log_alpha += 1
+        elif log_u < log_alpha:
+            stats.accepted += 1
+            x, u_x = y, u_y
+            if kind == "mala":
+                g_x = g_y
+        states.append(x)
+    return np.array(states), stats
 
 
 class TestUlaStep:
@@ -230,6 +291,31 @@ class TestSampleChain:
                     )
                     np.testing.assert_array_equal(traj.states, solo.states)
                     assert stats == solo_stats
+
+    @pytest.mark.parametrize("kind, gamma", [("mala", 1.0), ("rwm", 1.5)])
+    @pytest.mark.parametrize("outside", [np.inf, -np.inf])
+    def test_kernel_matches_step_by_step_replay(self, kind, gamma, outside):
+        # the chains cross a noise-block boundary, reject proposals inside
+        # the box and proposals outside it (non-finite log ratio)
+        target = _box_gaussian(2, 2.0, outside)
+        n_steps, x0, streams = NOISE_BLOCK + 300, np.array([0.5, -1.5]), [1, 2, 5]
+        cfg = SamplerConfig(kind, gamma, n_steps, SeedKey(61, 0))
+        for (traj, stats), stream in zip(sample_chains(cfg, target, streams, x0), streams):
+            states, ref_stats = _replay(kind, target, gamma, n_steps, x0, SeedKey(61, stream))
+            np.testing.assert_array_equal(traj.states, states)
+            assert stats == ref_stats
+            assert 0 < stats.nonfinite_log_alpha
+            assert 0 < stats.accepted < stats.proposed - stats.nonfinite_log_alpha
+
+    def test_gradient_returning_its_input_gives_the_same_chain(self):
+        # the kernel evaluates the target on a slot it overwrites afterwards
+        cfg = SamplerConfig("mala", 1.0, NOISE_BLOCK + 300, SeedKey(62, 0))
+        x0 = np.array([0.5, -1.5])
+        runs = [sample_chains(cfg, _box_gaussian(2, 2.0, gradient_is_input=view), [1, 2, 5], x0)
+                for view in (False, True)]
+        for (a, a_stats), (b, b_stats) in zip(*runs):
+            np.testing.assert_array_equal(a.states, b.states)
+            assert a_stats == b_stats
 
     @pytest.mark.parametrize("name", sorted(LOCK_STEP_TARGETS))
     @pytest.mark.parametrize("kind, gamma", KERNELS)
