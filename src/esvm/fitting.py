@@ -217,9 +217,14 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
     if result is None:
         result = fit_quasi_newton(lambda t: objective(t, design), np.zeros(p),
                                   **(qn_options or {}))
-    if result.objective_at_theta < 0.0:
-        result = replace(result, converged=False)
-    return result
+    return _flag_negative(result)
+
+
+def _flag_negative(result: FitResult) -> FitResult:
+    """The result with converged=False when its criterion is below zero: a
+    negative long-run variance estimate is not a variance minimum but a
+    descent along the window's negative directions."""
+    return replace(result, converged=False) if result.objective_at_theta < 0.0 else result
 
 
 def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
@@ -306,7 +311,8 @@ def fit(design: DesignSet, family: SteinFamily, method: str = "esvm",
         ridge: Optional[float] = None, qn_options: Optional[dict] = None) -> FitResult:
     """Fit dispatch: exact solve (with quasi-Newton fallback) for linear
     families, quasi-Newton from zero amplitudes and quantile centers for the
-    bump family."""
+    bump family. Either way a fit whose criterion ends below zero reads
+    converged=False."""
     if method not in OBJECTIVES:
         raise ValueError(f"unknown method {method!r}")
     if family.linear:
@@ -316,5 +322,6 @@ def fit(design: DesignSet, family: SteinFamily, method: str = "esvm",
     if design.response is None:
         raise ValueError("bump family needs a response design")
     objective = OBJECTIVES[method]
-    return fit_quasi_newton(lambda t: objective(t, design),
-                            design.response.initial_theta(), **(qn_options or {}))
+    return _flag_negative(fit_quasi_newton(lambda t: objective(t, design),
+                                           design.response.initial_theta(),
+                                           **(qn_options or {})))

@@ -1,14 +1,15 @@
 """Experiment pipeline: train a chain, fit control variates, score them on
 held-out chains, and emit machine-readable reports.
 
-Protocol for one experiment: sample a training chain of n_burn + n_train
-states and keep the last n_train; fit each requested method on it; sample
-n_test_chains independent chains (streams 1..N of the same master seed) of
-n_burn + n_test states, in lock-step batches of at most batch_size, keeping
-the last n_test; on every test chain compute the windowed long-run variance of
-the raw functional and of each adjusted functional, their ratio (the variance
-reduction factor), and the ergodic averages. Both methods are scored on the
-same test chains, never resampled.
+Protocol for one experiment: sample a training chain (stream 0) of
+n_burn + n_train states and keep the last n_train; fit each requested method
+on it; sample n_test_chains independent chains (streams 1..N of the same
+master seed) of n_burn + n_test states, in lock-step batches of at most
+batch_size, keeping the last n_test; on every test chain compute the windowed
+long-run variance of the raw functional and of each adjusted functional, their
+ratio (the variance reduction factor), and the ergodic averages. The training
+chain rides in the first batch's sampler call, which is made before the fit.
+Both methods are scored on the same test chains, never resampled.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -31,10 +32,10 @@ from scipy.special import expit, ndtr
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
 from .fitting import DesignSet, FitResult, RbfResponse, fit
-from .samplers import SamplerConfig, sample_chain, sample_chains
+from .samplers import NOISE_BLOCK, SamplerConfig, sample_chain, sample_chains
 from .stein import SteinFamily, feature_matrix, stein_values
 from .targets import Dataset, TargetModel
-from .variance import LagWindow, default_truncation, spectral_variance
+from .variance import LagWindow, autocovariances, default_truncation, spectral_variance
 
 SCHEMA_VERSION = 1
 
@@ -193,26 +194,19 @@ def vrf(f_series, h_series, window: LagWindow) -> VrfValue:
     h_series = np.asarray(h_series, dtype=np.float64)
     if f_series.shape != h_series.shape:
         raise ValueError("series length mismatch")
-    num = spectral_variance(f_series, window).value
-    den = spectral_variance(h_series, window).value
-    return _vrf_from_values(num, den)
+    num, den = spectral_variance(np.stack([f_series, h_series]), window).value
+    return _vrf_from_values(float(num), float(den))
 
 
 def acf_dump(series, max_lag: int) -> np.ndarray:
     """Normalized sample autocorrelations for lags 0..max_lag."""
     series = np.asarray(series, dtype=np.float64)
-    n = series.size
-    if not 0 <= max_lag < n:
+    if not 0 <= max_lag < series.size:
         raise ValueError("max_lag must satisfy 0 <= max_lag < n")
-    c = series - series.mean()
-    r0 = float(c @ c) / n
-    if r0 == 0.0:
+    acov = autocovariances(series, max_lag + 1)
+    if acov[0] == 0.0:
         raise ValueError("degenerate series")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for s in range(1, max_lag + 1):
-        out[s] = (float(c[:-s] @ c[s:]) / n) / r0
-    return out
+    return acov / acov[0]
 
 
 def _quartiles(values: Sequence[float]) -> dict:
@@ -321,8 +315,9 @@ def _sampler(config: ExperimentConfig, n_keep: int) -> SamplerConfig:
 
 
 def train_chain(config: ExperimentConfig):
-    """Sample the training chain (stream 0) past its burn-in; returns the
-    trajectory of n_train states and its acceptance statistics."""
+    """Sample the training chain (stream 0) alone past its burn-in; returns
+    the trajectory of n_train states and its acceptance statistics. The
+    experiment pipelines sample it in the first test batch's call instead."""
     return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
@@ -332,7 +327,13 @@ def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow)
     the lag window of the spectral criterion."""
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
     f_values = functional(train.states)
-    grads = config.target.gradient(train.states)
+    # NOISE_BLOCK rows per call, so that the target's per-row intermediates
+    # are held for one block of states at a time: a logistic posterior holds
+    # a row of its data per state.
+    grads = np.empty_like(train.states)
+    for lo in range(0, len(train), NOISE_BLOCK):
+        block = slice(lo, lo + NOISE_BLOCK)
+        grads[block] = config.target.gradient(train.states[block])
     if config.family.linear:
         psi = feature_matrix(config.family, train.states, grads)
         return DesignSet(f_values=f_values, window=window, features=psi)
@@ -350,11 +351,6 @@ def fit_methods(config: ExperimentConfig, design: DesignSet) -> dict:
     }
 
 
-def _batched(streams: Sequence[int], size: int):
-    for i in range(0, len(streams), size):
-        yield list(streams[i : i + size])
-
-
 def _chains_per_batch(config: ExperimentConfig) -> int:
     """batch_size, cut so that a batch's kept states fit in TEST_BATCH_BYTES
     (at least one chain). Depends on the configuration only, never on threads;
@@ -363,54 +359,79 @@ def _chains_per_batch(config: ExperimentConfig) -> int:
     return max(1, min(config.batch_size, TEST_BATCH_BYTES // per_chain))
 
 
-def _evaluate_batch(config: ExperimentConfig, streams, fits: dict, window: LagWindow):
-    """Sample one batch of test chains and score every fit on each chain;
-    `fits` may be keyed by method name or, in a sweep, by truncation."""
-    functional = make_functional(config.functional, config.dataset, config.regression_kind)
+def _test_batches(config: ExperimentConfig) -> list:
+    """Streams 1..n_test_chains cut into consecutive lock-step batches."""
+    size = _chains_per_batch(config)
+    streams = list(range(1, config.n_test_chains + 1))
+    return [streams[i : i + size] for i in range(0, len(streams), size)]
+
+
+def _sample_batch(config: ExperimentConfig, streams, with_train: bool = False):
+    """Sample test chains `streams` (n_burn + n_test states each) in one
+    lock-step call. With with_train, the training chain (stream 0, n_burn +
+    n_train states) rides in the same call. Returns the training (trajectory,
+    stats), or None, and one (stream, trajectory, stats) per test chain."""
     sampler = _sampler(config, config.n_test)
+    lead = [0] if with_train else []
+    lengths = [config.n_burn + config.n_train] * len(lead) + [sampler.n_steps] * len(streams)
+    out = sample_chains(sampler, config.target, lead + list(streams), config.start_point(),
+                        n_steps=lengths)
+    train = out.pop(0) if with_train else None
+    return train, [(stream, chain, stats) for stream, (chain, stats) in zip(streams, out)]
+
+
+def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagWindow):
+    """Score every fit on each sampled test chain of a batch; `fits` may be
+    keyed by method name or, in a sweep, by truncation. The raw and every
+    adjusted series of a chain share one spectral-variance call."""
+    functional = make_functional(config.functional, config.dataset, config.regression_kind)
     rows = []
-    for (chain, stats), stream in zip(
-        sample_chains(sampler, config.target, streams, config.start_point()), streams
-    ):
+    for stream, chain, stats in batch:
         f_values = functional(chain.states)
-        v_plain = spectral_variance(f_values, window).value
+        series = [f_values]
+        if fits:
+            grads = config.target.gradient(chain.states)
+            series += [f_values - stein_values(config.family, result.theta, chain.states, grads)
+                       for result in fits.values()]
+        v_plain, *v_adjusted = spectral_variance(np.stack(series), window).value
         row = {
             "stream": stream,
-            "v_plain": v_plain,
+            "v_plain": float(v_plain),
             "avg_vanilla": ergodic_average(f_values),
             "accept_rate": stats.rate,
             "nonfinite_log_alpha": stats.nonfinite_log_alpha,
             "methods": {},
         }
-        if fits:
-            grads = config.target.gradient(chain.states)
-            for method, result in fits.items():
-                g = stein_values(config.family, result.theta, chain.states, grads)
-                h = f_values - g
-                v_adjusted = spectral_variance(h, window).value
-                ratio = _vrf_from_values(v_plain, v_adjusted)
-                row["methods"][method] = {
-                    "v_adjusted": v_adjusted,
-                    "vrf": ratio.value,
-                    "infinite": ratio.infinite,
-                    "average": ergodic_average(h),
-                }
+        for method, h, v in zip(fits, series[1:], v_adjusted):
+            ratio = _vrf_from_values(row["v_plain"], float(v))
+            row["methods"][method] = {
+                "v_adjusted": float(v),
+                "vrf": ratio.value,
+                "infinite": ratio.infinite,
+                "average": ergodic_average(h),
+            }
         rows.append(row)
     return rows
 
 
-def _evaluate_stage(config: ExperimentConfig, fits: dict) -> list:
-    streams = list(range(1, config.n_test_chains + 1))
+def _evaluate_stage(config: ExperimentConfig, fits: dict, first: list, later: list) -> list:
+    """Score the already sampled first batch, then sample and score the
+    later batches (streams per batch), in a thread pool when threads > 1.
+    Empties `first`, so that its states are released before the later
+    batches are sampled."""
     window = LagWindow(config.test_truncation)
-    batches = list(_batched(streams, _chains_per_batch(config)))
-    if config.threads > 1 and len(batches) > 1:
+    rows = _score_batch(config, first, fits, window)
+    first.clear()
+
+    def evaluate(streams):
+        return _score_batch(config, _sample_batch(config, streams)[1], fits, window)
+
+    if config.threads > 1 and len(later) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(
-                lambda b: _evaluate_batch(config, b, fits, window), batches
-            ))
+            chunks = list(pool.map(evaluate, later))
     else:
-        chunks = [_evaluate_batch(config, b, fits, window) for b in batches]
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = [evaluate(streams) for streams in later]
+    rows += [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: r["stream"])
     return rows
 
@@ -448,8 +469,8 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
             centered_quartiles=_centered_quartiles(avgs, truth),
         ))
     acceptance = {
-        "train_rate": train_stats.rate,
-        "train_nonfinite_log_alpha": train_stats.nonfinite_log_alpha,
+        "train_rate": train_stats.rate if train_stats else None,
+        "train_nonfinite_log_alpha": train_stats.nonfinite_log_alpha if train_stats else None,
         "test_rates": [r["accept_rate"] for r in rows],
         "mean_test_rate": float(np.mean([r["accept_rate"] for r in rows])),
         "test_nonfinite_log_alpha": int(sum(r["nonfinite_log_alpha"] for r in rows)),
@@ -464,15 +485,20 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
     )
 
 
-def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig) -> VRFReport:
+def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig,
+                  n_first: int, with_train: bool) -> VRFReport:
     """Record the stage timings once every stage, aggregation included, has
     closed, and next to them the chain-steps each sampling stage advanced
-    (states per chain, burn-in included, times chains), so that chain-steps
-    per second can be read from the report."""
+    (states per chain, burn-in included, summed over chains), so that
+    chain-steps per second can be read from the report. `train-sampling`
+    advanced the first batch of n_first test chains, and the training chain
+    when with_train; `test-evaluation` the later batches."""
+    per_test = config.n_burn + config.n_test
     report.run_info["timings"] = {k: round(v, 6) for k, v in timings.items()}
     report.run_info["chain_steps"] = {
-        "train-sampling": config.n_burn + config.n_train,
-        "test-evaluation": config.n_test_chains * (config.n_burn + config.n_test),
+        "train-sampling": ((config.n_burn + config.n_train if with_train else 0)
+                           + n_first * per_test),
+        "test-evaluation": (config.n_test_chains - n_first) * per_test,
     }
     return report
 
@@ -481,21 +507,27 @@ def run_experiment(config: ExperimentConfig) -> VRFReport:
     """Full pipeline; any stage failure aborts with a stage-tagged error and
     nothing is written."""
     timings: dict = {}
+    first_streams, *later = _test_batches(config)
     with _Stage("train-sampling", timings):
-        train, train_stats = train_chain(config)
+        (train, train_stats), first = _sample_batch(config, first_streams, with_train=True)
     with _Stage("fit", timings):
         design = build_design(config, train, LagWindow(config.train_truncation))
         fits = fit_methods(config, design)
+    # The training states may be a view of the first batch's array; drop
+    # them so that the array is released once the first batch is scored.
+    del train
     with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits)
+        rows = _evaluate_stage(config, fits, first, later)
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
-    return _with_timings(report, timings, config)
+    return _with_timings(report, timings, config, len(first_streams), with_train=True)
 
 
 def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFReport:
     """Score pre-fitted parameter vectors (method name -> theta) on fresh test
-    chains, without refitting."""
+    chains, without refitting. No training chain is sampled, so the report's
+    training acceptance fields are null; the `train-sampling` stage samples
+    the first test batch."""
     timings: dict = {}
     fits = {}
     for method, theta in thetas.items():
@@ -505,13 +537,14 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
             method="provided", iterations=0, converged=True,
         )
     config = _with_methods(config, tuple(fits))
+    first_streams, *later = _test_batches(config)
     with _Stage("train-sampling", timings):
-        _, train_stats = train_chain(config)
+        _, first = _sample_batch(config, first_streams)
     with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits)
+        rows = _evaluate_stage(config, fits, first, later)
     with _Stage("aggregate", timings):
-        report = _aggregate(config, fits, rows, train_stats)
-    return _with_timings(report, timings, config)
+        report = _aggregate(config, fits, rows, None)
+    return _with_timings(report, timings, config, len(first_streams), with_train=False)
 
 
 def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
@@ -521,14 +554,16 @@ def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
 def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
     """Refit the spectral criterion at each training truncation, then score
     all fits in one pass over the test chains (fixed test truncation), so
-    each test chain is sampled once however many values are swept. Returns
-    one row per value: {b_n, mean_vrf, infinite_count}."""
+    each test chain is sampled once however many values are swept. The
+    training chain is sampled in the first test batch's call. Returns one row
+    per value: {b_n, mean_vrf, infinite_count}."""
     for b in bn_values:
         if not 1 <= b <= config.n_train:
             raise ConfigError(f"truncation {b} outside [1, {config.n_train}]")
     timings: dict = {}
+    first_streams, *later = _test_batches(config)
     with _Stage("train-sampling", timings):
-        train, _ = train_chain(config)
+        (train, _), first = _sample_batch(config, first_streams, with_train=True)
     fits = {}
     design = None
     for b in bn_values:
@@ -538,8 +573,9 @@ def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
             design = (build_design(config, train, window) if design is None
                       else replace(design, window=window))
             fits[int(b)] = fit(design, config.family, "esvm", ridge=config.ridge)
+    del train
     with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits) if fits else []
+        rows = _evaluate_stage(config, fits, first, later) if fits else []
     rows_out = []
     for b in bn_values:
         entries = [r["methods"][int(b)] for r in rows]

@@ -19,7 +19,7 @@ buffers whose size does not grow with the chain length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,17 +118,21 @@ def rwm_step(x: np.ndarray, target, gamma: float, rng: np.random.Generator):
     return (y, True) if accepted else (x.copy(), False)
 
 
-def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, m: int, d: int):
+def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, steps: Sequence[int],
+                  d: int):
     """Yield (start, noise, log_u) for consecutive blocks of at most
-    NOISE_BLOCK steps out of m: noise[t] is the pre-scaled (C, d) proposal
-    noise of step start + t, log_u[t] the (C,) log-uniforms (None for ULA).
+    NOISE_BLOCK steps out of max(steps): noise[t] is the pre-scaled (C, d)
+    proposal noise of step start + t, log_u[t] the (C,) log-uniforms (None for
+    ULA). Chain i makes steps[i] steps and draws noise for those alone; past
+    its last step its rows read 0 (and log-uniform 0) and are never used.
 
     Each chain's generators are advanced block by block, which yields the
-    same values as drawing all m steps at once. The buffers are reused, so a
+    same values as drawing all its steps at once. The buffers are reused, so a
     yielded block is valid only until the next one is drawn, and the caller
     may overwrite it.
     """
     n_chains = len(keys)
+    m = max(steps)
     size = min(NOISE_BLOCK, m)
     normals = [key.generator(ROLE_NORMAL) for key in keys]
     uniforms = [key.generator(ROLE_UNIFORM) for key in keys] if kind != "ula" else []
@@ -138,44 +142,61 @@ def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, m: int, d: i
     for start in range(0, m, size):
         b = min(size, m - start)
         noise = noise_buf[:b]
+        # steps of this block that each chain makes
+        own = [min(b, max(m_i - start, 0)) for m_i in steps]
         for i, gen in enumerate(normals):
-            noise[:, i, :] = gen.standard_normal((b, d))
+            noise[: own[i], i, :] = gen.standard_normal((own[i], d))
+            noise[own[i] :, i, :] = 0.0
         noise *= scale
         log_u = None
         if uniforms:
             log_u = log_u_buf[:b]
             for i, gen in enumerate(uniforms):
-                log_u[:, i] = gen.random(b)
+                log_u[: own[i], i] = gen.random(own[i])
+                log_u[own[i] :, i] = 1.0
             with np.errstate(divide="ignore"):
                 np.log(log_u, out=log_u)
         yield start, noise, log_u
 
 
-def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
+def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: int,
               x0: np.ndarray, keys: Sequence[SeedKey]):
-    """Advance len(keys) chains in lock-step for n_steps states (x0 is state
-    0). Returns the kept states chain-major, (C, n_steps - n_burn, d), per-chain
-    accept counts and per-chain non-finite-ratio counts; the counts cover all
-    n_steps - 1 proposals, burn-in included.
+    """Advance len(keys) chains in lock-step, chain i for lengths[i] states
+    (x0 is state 0). The lengths must not increase along the chains, so the
+    chains still running at any step are the leading rows of the batch: a
+    chain leaves the batch after its last state. Returns each chain's kept
+    states, (lengths[i] - n_burn, d), as views of one chain-major array per
+    run of equal lengths, and per-chain accept and non-finite-ratio counts;
+    the counts cover all lengths[i] - 1 proposals, burn-in included.
 
     Each step writes its new states over its own, already used, slot of the
     time-major noise block, so every per-step slice is contiguous and the
     block's kept states are copied out per chain once it is done. Burn-in
     states are never stored, and memory beyond the kept states is flat in
-    n_steps.
+    the chain lengths.
     """
     n_chains = len(keys)
     d = x0.shape[-1]
-    m = n_steps - 1
-    kept = np.empty((n_chains, n_steps - n_burn, d))
+    steps = [n - 1 for n in lengths]
+    m = steps[0]
+    # runs of chains of equal length, [first row, end row, states per chain]
+    runs = []
+    for i, n in enumerate(lengths):
+        if runs and runs[-1][2] == n:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, n])
+    kept = [np.empty((hi - lo, n - n_burn, d)) for lo, hi, n in runs]
     x = np.empty((n_chains, d))
     x[...] = x0
     if n_burn == 0:
-        kept[:, 0] = x
+        for arr in kept:
+            arr[:, 0] = x0
     accepted = np.zeros(n_chains, dtype=np.int64)
     nonfinite = np.zeros(n_chains, dtype=np.int64)
+    chains = [chain for arr in kept for chain in arr]
     if m == 0:
-        return kept, accepted, nonfinite
+        return chains, accepted, nonfinite
 
     if kind == "ula":
         # Two buffers, so that the drift's subtraction does not write over
@@ -201,61 +222,73 @@ def _simulate(kind: str, target, gamma: float, n_steps: int, n_burn: int,
     # Metropolis kernels reject them, the unadjusted kernel turns them into
     # an error below. Keep the arithmetic quiet either way.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, noise, log_u in _noise_blocks(kind, keys, gamma, m, d):
+        for start, noise, log_u in _noise_blocks(kind, keys, gamma, steps, d):
             # Slot t holds the noise of step start + t until that step
             # overwrites it with state lo + t: the proposal is built in the
             # slot, and rejected rows are then reset to the current state.
             # The target may return views of the slot, so the current
             # potential and gradient are updated before that reset.
             lo, hi = start + 1, start + 1 + len(noise)
-            if kind == "ula":
-                for nxt in noise:
-                    np.multiply(target.gradient(x), gamma, out=buf)
-                    np.subtract(x, buf, out=drift)
-                    nxt += drift
-                    x = nxt
-                # Non-finite values are sticky in this recursion, so one
-                # check per block still pins down the first bad window.
-                if not np.all(np.isfinite(x)):
-                    raise NumericError(
-                        f"non-finite gradient within steps {start}..{hi - 1} "
-                        "(diverging chain?)"
-                    )
-            elif kind == "mala":
-                for nxt, lu, ok, acc in zip(noise, log_u, finite, taken):
-                    nxt += x - gamma * cur_g
-                    prop_u, prop_g = target.value_and_grad(nxt)
-                    log_alpha = mala_log_acceptance(x, nxt, cur_u, prop_u, cur_g, prop_g, gamma)
-                    # A non-finite ratio (NaN compares false) is rejected.
-                    np.isfinite(log_alpha, out=ok)
-                    np.less(lu, log_alpha, out=acc)
-                    acc &= ok
-                    mask = acc[:, None]
-                    np.copyto(cur_u, prop_u, where=acc)
-                    np.copyto(cur_g, prop_g, where=mask)
-                    np.copyto(nxt, x, where=~mask)
-                    x = nxt
-            else:  # rwm
-                for nxt, lu, ok, acc in zip(noise, log_u, finite, taken):
-                    nxt += x
-                    prop_u = target.potential(nxt)
-                    log_alpha = rwm_log_acceptance(cur_u, prop_u)
-                    np.isfinite(log_alpha, out=ok)
-                    np.less(lu, log_alpha, out=acc)
-                    acc &= ok
-                    np.copyto(cur_u, prop_u, where=acc)
-                    np.copyto(nxt, x, where=~acc[:, None])
-                    x = nxt
-            if kind != "ula":
-                b = len(noise)
-                nonfinite += b - np.count_nonzero(finite[:b], axis=0)
-                accepted += np.count_nonzero(taken[:b], axis=0)
-            first = max(lo, n_burn)
-            if first < hi:
-                kept[:, first - n_burn : hi - n_burn] = noise[first - lo :].transpose(1, 0, 2)
+            # Segments of the block with a fixed number k of running chains:
+            # the batch shrinks after each chain's last step.
+            cuts = sorted({s + 1 - lo for s in steps if lo <= s < hi - 1})
+            bounds = [0] + cuts + [len(noise)]
+            for j0, j1 in zip(bounds[:-1], bounds[1:]):
+                k = sum(s >= lo + j0 for s in steps)
+                x = x[:k]
+                if kind == "ula":
+                    scaled, drift_k = buf[:k], drift[:k]
+                    for nxt in noise[j0:j1, :k]:
+                        np.multiply(target.gradient(x), gamma, out=scaled)
+                        np.subtract(x, scaled, out=drift_k)
+                        nxt += drift_k
+                        x = nxt
+                    # Non-finite values are sticky in this recursion, so one
+                    # check per segment still pins down the first bad block.
+                    if not np.all(np.isfinite(x)):
+                        raise NumericError(
+                            f"non-finite gradient within steps {start}..{hi - 1} "
+                            "(diverging chain?)"
+                        )
+                    continue
+                u_k, ok_k, acc_k = cur_u[:k], finite[j0:j1, :k], taken[j0:j1, :k]
+                rows = zip(noise[j0:j1, :k], log_u[j0:j1, :k], ok_k, acc_k)
+                if kind == "mala":
+                    g_k = cur_g[:k]
+                    for nxt, lu, ok, acc in rows:
+                        nxt += x - gamma * g_k
+                        prop_u, prop_g = target.value_and_grad(nxt)
+                        log_alpha = mala_log_acceptance(x, nxt, u_k, prop_u, g_k, prop_g, gamma)
+                        # A non-finite ratio (NaN compares false) is rejected.
+                        np.isfinite(log_alpha, out=ok)
+                        np.less(lu, log_alpha, out=acc)
+                        acc &= ok
+                        mask = acc[:, None]
+                        np.copyto(u_k, prop_u, where=acc)
+                        np.copyto(g_k, prop_g, where=mask)
+                        np.copyto(nxt, x, where=~mask)
+                        x = nxt
+                else:  # rwm
+                    for nxt, lu, ok, acc in rows:
+                        nxt += x
+                        prop_u = target.potential(nxt)
+                        log_alpha = rwm_log_acceptance(u_k, prop_u)
+                        np.isfinite(log_alpha, out=ok)
+                        np.less(lu, log_alpha, out=acc)
+                        acc &= ok
+                        np.copyto(u_k, prop_u, where=acc)
+                        np.copyto(nxt, x, where=~acc[:, None])
+                        x = nxt
+                nonfinite[:k] += (j1 - j0) - np.count_nonzero(ok_k, axis=0)
+                accepted[:k] += np.count_nonzero(acc_k, axis=0)
+            for arr, (r0, r1, n) in zip(kept, runs):
+                first, last = max(lo, n_burn), min(hi, n)
+                if first < last:
+                    arr[:, first - n_burn : last - n_burn] = (
+                        noise[first - lo : last - lo, r0:r1].transpose(1, 0, 2))
             # the next block is drawn into the same buffer
             x = x.copy()
-    return kept, accepted, nonfinite
+    return chains, accepted, nonfinite
 
 
 def _check_x0(target, x0) -> np.ndarray:
@@ -280,30 +313,45 @@ def sample_chain(config: SamplerConfig, target, x0=None):
     return sample_chains(config, target, [config.seed.stream], x0)[0]
 
 
-def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None):
+def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None,
+                  n_steps: Optional[Sequence[int]] = None):
     """Run one chain per stream index, identical in law and in outcome to
-    calling `sample_chain` per stream, but advanced together for speed. The
-    trajectories are read-only views of one (C, n, d) array, so the kept
-    states are held once."""
+    calling `sample_chain` per stream, but advanced together for speed.
+
+    `n_steps` gives each stream its own state count (default: config.n_steps
+    for every stream; each must exceed config.n_burn). A chain leaves the
+    batch after its last state and draws noise for its own steps only, so it
+    equals `sample_chain` run with its own length. The trajectories are
+    read-only views of one (C, n, d) array per run of equal lengths, so the
+    kept states are held once."""
     x0 = _check_x0(target, x0)
-    keys = [config.seed.with_stream(s) for s in streams]
+    lengths = [config.n_steps] * len(streams) if n_steps is None else [int(n) for n in n_steps]
+    if len(lengths) != len(streams):
+        raise ValueError("need one state count per stream")
+    if not all(config.n_burn < n for n in lengths):
+        raise ValueError("every chain must keep a state after the burn-in")
+    if not lengths:
+        return []
+    # longest chains first, so that the chains still running are the leading rows
+    order = sorted(range(len(streams)), key=lambda i: -lengths[i])
     kept, accepted, nonfinite = _simulate(
-        config.kind, target, config.gamma, config.n_steps, config.n_burn, x0, keys
+        config.kind, target, config.gamma, [lengths[i] for i in order], config.n_burn, x0,
+        [config.seed.with_stream(streams[i]) for i in order],
     )
-    m = config.n_steps - 1
-    out = []
-    for i, stream in enumerate(streams):
+    out = [None] * len(streams)
+    for j, i in enumerate(order):
+        m = lengths[i] - 1
         stats = AcceptanceStats(
             proposed=m,
-            accepted=m if config.kind == "ula" else int(accepted[i]),
-            nonfinite_log_alpha=int(nonfinite[i]),
+            accepted=m if config.kind == "ula" else int(accepted[j]),
+            nonfinite_log_alpha=int(nonfinite[j]),
         )
         meta = TrajectoryMeta(
             sampler=config.kind,
             gamma=config.gamma,
             seed_master=config.seed.master,
-            seed_stream=stream,
+            seed_stream=streams[i],
             burn_in_removed=config.n_burn > 0,
         )
-        out.append((Trajectory.adopt(kept[i], meta), stats))
+        out[i] = (Trajectory.adopt(kept[j], meta), stats)
     return out

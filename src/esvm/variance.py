@@ -3,9 +3,10 @@
 The estimator is a truncated, kernel-weighted sum of sample autocovariances.
 It is algebraically a quadratic form z' A z with A = P W P / n, where P is the
 centering projector and W a banded Toeplitz matrix of window weights. Both
-routes are implemented: the direct windowed sum (`spectral_variance`) and the
-matrix-free quadratic form (`quadratic_form_apply`), plus a dense oracle for
-tests. Production paths never materialize W or A.
+routes are implemented: the direct windowed sum (`spectral_variance`, over
+autocovariances computed by FFT) and the matrix-free quadratic form
+(`quadratic_form_apply`), plus a dense oracle for tests. Production paths never
+materialize W or A.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 
@@ -70,13 +72,13 @@ class SpectralVariance:
     are possible; they are preserved here and clamped only where a report
     needs a nonnegative number."""
 
-    value: float
+    value: float  # one value per series for a stack of series
     b_n: int
     n: int
 
     @property
-    def clamped(self) -> float:
-        return max(self.value, 0.0)
+    def clamped(self):
+        return np.maximum(self.value, 0.0)
 
 
 def sample_autocovariance(series: np.ndarray, s: int) -> float:
@@ -92,25 +94,47 @@ def sample_autocovariance(series: np.ndarray, s: int) -> float:
     return float(c[:-s] @ c[s:]) / n
 
 
+def autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
+    """Sample autocovariances at lags 0 .. n_lags - 1 of each series along the
+    last axis, as `sample_autocovariance` defines them (divisor n, full-sample
+    mean subtracted); shape (..., n_lags).
+
+    One real FFT pass over the centered series, zero-padded to at least
+    n + n_lags points so that no lag below n_lags wraps around: O(n log n)
+    whatever n_lags is (Wiener-Khinchin).
+    """
+    series = np.asarray(series, dtype=np.float64)
+    n = series.shape[-1]
+    if not 1 <= n_lags <= n:
+        raise ValueError(f"lag count {n_lags} outside [1, {n}]")
+    size = next_fast_len(n + n_lags, real=True)
+    spectrum = rfft(series - series.mean(axis=-1, keepdims=True), size, axis=-1)
+    power = spectrum.real * spectrum.real
+    power += spectrum.imag * spectrum.imag
+    # each buffer is as large as the series: free the spectrum before the
+    # inverse transform allocates its output
+    del spectrum
+    return irfft(power, size, axis=-1)[..., :n_lags] / n
+
+
 def spectral_variance(series: np.ndarray, window: LagWindow) -> SpectralVariance:
     """Windowed sum of sample autocovariances over lags |s| < b_n.
 
-    Runs in O(n * b_n) via one dot product per lag; no matrix is formed.
+    `series` is one series (n,), whose value is a float, or a stack (k, n),
+    whose value is an array of k; each row's value equals that of the row
+    alone, bit for bit. No matrix is formed.
     """
     series = np.asarray(series, dtype=np.float64)
-    n = series.size
+    n = series.shape[-1] if series.ndim else 0
     if n < 1:
         raise ValueError("empty series")
     if window.b_n > n:
         raise ValueError("truncation exceeds sample size")
-    c = series - series.mean()
     w = window.weights()
-    acc = w[0] * float(c @ c)
-    for s in range(1, window.b_n):
-        if w[s] == 0.0:
-            continue
-        acc += 2.0 * w[s] * float(c[:-s] @ c[s:])
-    return SpectralVariance(value=acc / n, b_n=window.b_n, n=n)
+    w[1:] *= 2.0
+    value = np.add.reduce(autocovariances(series, window.b_n) * w, axis=-1)
+    return SpectralVariance(value=float(value) if value.ndim == 0 else value,
+                            b_n=window.b_n, n=n)
 
 
 def empirical_variance(series: np.ndarray) -> float:

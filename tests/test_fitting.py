@@ -247,6 +247,20 @@ class TestFitDispatch:
         assert res.method == "quasi_newton"
         assert res.objective_at_theta <= res.objective_at_zero
 
+    def test_rbf_fit_with_negative_criterion_is_unconverged(self):
+        # the windowed criterion is unbounded below on this design; the
+        # quasi-Newton descent passes its relative gradient test at a
+        # negative value well before the iteration cap
+        design, fam = _random_design(n=80, p=2, b_n=30, seed=2, response=True)
+        descent = fit_quasi_newton(lambda t: esvm_objective(t, design),
+                                   design.response.initial_theta())
+        assert descent.converged and descent.iterations < 500
+        res = fit(design, fam, "esvm")
+        assert res.objective_at_theta < 0.0
+        assert not res.converged
+        np.testing.assert_array_equal(res.theta, descent.theta)
+        assert res.iterations == descent.iterations
+
     def test_fit_result_invariant_enforced(self):
         with pytest.raises(EsvmError):
             from esvm.fitting import FitResult

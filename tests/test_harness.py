@@ -200,30 +200,65 @@ class TestStageTimings:
             "train-sampling", "test-evaluation", "aggregate"}
 
     def test_chain_steps_recorded_per_sampling_stage(self, monkeypatch, mini_report):
+        # one sampler call per batch; the first carries the training chain
+        # (stream 0, run_experiment only) and is made before any fit
         import esvm.harness as harness
 
         cfg = _mini_config(n_train=500, n_test=400, n_test_chains=6, b_n_train=5)
-        steps = {}
-        sample_chain, sample_chains = harness.sample_chain, harness.sample_chains
+        calls = []
+        sample_chains, fit = harness.sample_chains, harness.fit
 
-        def one(config, target, x0=None):
-            steps["train-sampling"] = steps.get("train-sampling", 0) + config.n_steps
-            return sample_chain(config, target, x0)
+        def many(config, target, streams, x0=None, n_steps=None):
+            lengths = [config.n_steps] * len(streams) if n_steps is None else n_steps
+            calls.append(dict(zip(streams, lengths)))
+            return sample_chains(config, target, streams, x0, n_steps=n_steps)
 
-        def many(config, target, streams, x0=None):
-            steps["test-evaluation"] = (steps.get("test-evaluation", 0)
-                                        + config.n_steps * len(streams))
-            return sample_chains(config, target, streams, x0)
+        def fitting(*args, **kwargs):
+            calls.append("fit")
+            return fit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "sample_chain", one)
         monkeypatch.setattr(harness, "sample_chains", many)
+        monkeypatch.setattr(harness, "fit", fitting)
         thetas = {m.method: m.family["params"] for m in mini_report.methods}
-        for run in (lambda: run_experiment(cfg),
-                    lambda: harness.evaluate_with_parameters(cfg, thetas)):
-            steps.clear()
+        first = {s: 600 for s in range(1, 5)}
+        for run, expected in (
+            (lambda: run_experiment(cfg), [{0: 700, **first}, "fit", "fit", {5: 600, 6: 600}]),
+            (lambda: harness.evaluate_with_parameters(cfg, thetas), [first, {5: 600, 6: 600}]),
+        ):
+            calls.clear()
             report = run()
-            assert steps == {"train-sampling": 700, "test-evaluation": 6 * 600}
-            assert report.run_info["chain_steps"] == steps
+            assert calls == expected
+            sampled = [c for c in calls if c != "fit"]
+            assert report.run_info["chain_steps"] == {
+                "train-sampling": sum(sampled[0].values()),
+                "test-evaluation": sum(sampled[1].values()),
+            }
+
+
+class TestTrainingChain:
+    @pytest.mark.parametrize("n_train", [600, 1500])
+    def test_training_chain_in_first_batch_equals_lone_chain(self, n_train):
+        # stream 0 ends before or after the test chains of its batch; the
+        # fit on it equals the fit on the chain sampled alone
+        from esvm.harness import build_design, fit_methods, train_chain
+
+        cfg = _mini_config(n_train=n_train, n_test=1000, n_test_chains=3, b_n_train=8)
+        report = run_experiment(cfg)
+        alone, stats = train_chain(cfg)
+        fits = fit_methods(cfg, build_design(cfg, alone, LagWindow(cfg.train_truncation)))
+        for m in report.methods:
+            assert m.fit == fits[m.method].to_dict()
+        assert report.acceptance["train_rate"] == stats.rate
+
+    def test_evaluation_with_parameters_samples_no_training_chain(self, mini_report):
+        from esvm.harness import evaluate_with_parameters
+
+        cfg = _mini_config(n_train=400, n_test=400, n_test_chains=2, b_n_train=5)
+        thetas = {m.method: m.family["params"] for m in mini_report.methods}
+        report = evaluate_with_parameters(cfg, thetas)
+        assert report.acceptance["train_rate"] is None
+        assert report.acceptance["train_nonfinite_log_alpha"] is None
+        assert '"train_rate": null' in report_json(report)
 
 
 class TestBatching:
@@ -245,16 +280,17 @@ class TestBatching:
         calls = []
         sample = harness.sample_chains
 
-        def counting(config, target, streams, x0=None):
+        def counting(config, target, streams, x0=None, n_steps=None):
             calls.append(list(streams))
-            return sample(config, target, streams, x0)
+            return sample(config, target, streams, x0, n_steps=n_steps)
 
         reference = run_experiment(cfg)
         monkeypatch.setattr(harness, "sample_chains", counting)
         monkeypatch.setattr(harness, "TEST_BATCH_BYTES", 3 * 1000 * 2 * 8)
         report = run_experiment(cfg)
         monkeypatch.undo()
-        assert sorted(calls) == [[1, 2, 3], [4, 5, 6]]
+        # each stream sampled once; the training chain rides in the first batch
+        assert calls == [[0, 1, 2, 3], [4, 5, 6]]
         assert report.vanilla == reference.vanilla
         assert ([m.to_dict() for m in report.methods]
                 == [m.to_dict() for m in reference.methods])
@@ -271,14 +307,15 @@ class TestBnSweep:
         calls = []
         sample = harness.sample_chains
 
-        def counting(config, target, streams, x0=None):
+        def counting(config, target, streams, x0=None, n_steps=None):
             calls.append(list(streams))
-            return sample(config, target, streams, x0)
+            return sample(config, target, streams, x0, n_steps=n_steps)
 
         monkeypatch.setattr(harness, "sample_chains", counting)
         rows = bn_sweep(cfg, values)
         monkeypatch.undo()
-        assert sorted(calls) == [[1, 2, 3, 4], [5, 6]]
+        # each stream sampled once; the training chain rides in the first batch
+        assert calls == [[0, 1, 2, 3, 4], [5, 6]]
         for row, b in zip(rows, values):
             rep = run_experiment(_mini_config(n_train=1000, n_test=1000, n_test_chains=6,
                                               batch_size=4, b_n_train=b))

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from esvm.samplers import (
 from esvm.targets import (
     TargetModel,
     banana_target,
+    gmm_isolated_target,
     gmm_target,
     logistic_target,
+    probit_target,
     synthetic_logistic_dataset,
 )
 
@@ -35,6 +38,12 @@ LOCK_STEP_TARGETS = {
     "gmm": (gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)), None),
     "banana": (banana_target(100.0, 0.1, 2), (10.0, 0.0)),
 }
+
+# Per-stream lengths of a ragged batch, in stream order 0, 1, ..: one chain
+# longer than the rest (as the harness's training chain), one that ends
+# inside the first noise block and one that ends on a block boundary.
+RAGGED_LENGTHS = [2 * NOISE_BLOCK + 500, NOISE_BLOCK + 300, 400, NOISE_BLOCK + 300,
+                  NOISE_BLOCK + 1]
 
 
 def _standard_gaussian(d):
@@ -349,6 +358,46 @@ class TestSampleChain:
         for traj, _ in batch:
             assert traj.states.shape == (20_000, 2)
             assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
+
+    @pytest.mark.parametrize("name", ["banana", "gmm", "gmm_isolated"])
+    @pytest.mark.parametrize("kind, gamma", KERNELS)
+    @pytest.mark.parametrize("n_burn", [0, 250])
+    def test_ragged_batch_equals_sequential(self, name, kind, gamma, n_burn):
+        targets = {**LOCK_STEP_TARGETS,
+                   "gmm_isolated": (gmm_isolated_target(0.4, -3.0, 1.0, 4.0, 0.5), None)}
+        target, x0 = targets[name]
+        cfg = SamplerConfig(kind, gamma, NOISE_BLOCK + 300, SeedKey(43, 0), n_burn=n_burn)
+        streams = list(range(len(RAGGED_LENGTHS)))
+        batch = sample_chains(cfg, target, streams, x0, n_steps=RAGGED_LENGTHS)
+        for (traj, stats), stream, n in zip(batch, streams, RAGGED_LENGTHS):
+            solo, solo_stats = sample_chain(
+                replace(cfg, n_steps=n, seed=SeedKey(43, stream)), target, x0)
+            np.testing.assert_array_equal(traj.states, solo.states)
+            assert stats == solo_stats
+            assert stats.proposed == n - 1 and len(traj) == n - n_burn
+            assert traj.meta.seed_stream == stream
+            assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
+
+    @pytest.mark.parametrize("make", [logistic_target, probit_target])
+    def test_ragged_regression_batch_close_to_sequential(self, make):
+        # rows go through a matrix-matrix product while two or more chains
+        # run and a matrix-vector product for a chain alone
+        target = make(synthetic_logistic_dataset(), 100.0)
+        cfg = SamplerConfig("ula", 0.1, NOISE_BLOCK + 300, SeedKey(44, 0), n_burn=100)
+        streams = list(range(len(RAGGED_LENGTHS)))
+        batch = sample_chains(cfg, target, streams, n_steps=RAGGED_LENGTHS)
+        for (traj, _), stream, n in zip(batch, streams, RAGGED_LENGTHS):
+            solo, _ = sample_chain(replace(cfg, n_steps=n, seed=SeedKey(44, stream)), target)
+            scale = np.max(np.abs(solo.states))
+            np.testing.assert_allclose(traj.states, solo.states, rtol=0, atol=1e-13 * scale)
+
+    def test_ragged_lengths_validated(self):
+        cfg = SamplerConfig("ula", 0.1, 100, SeedKey(46, 0), n_burn=10)
+        target = _standard_gaussian(2)
+        with pytest.raises(ValueError, match="one state count per stream"):
+            sample_chains(cfg, target, [1, 2], n_steps=[100])
+        with pytest.raises(ValueError, match="keep a state after the burn-in"):
+            sample_chains(cfg, target, [1, 2], n_steps=[100, 10])
 
     def test_logistic_trajectories_do_not_depend_on_batch_size(self):
         # the posterior's row products go through a matrix-matrix product for

@@ -6,6 +6,7 @@ import pytest
 
 from esvm.variance import (
     LagWindow,
+    autocovariances,
     default_truncation,
     empirical_variance,
     power_iteration_norm,
@@ -134,6 +135,41 @@ class TestSpectralVariance:
         sv = spectral_variance(s, LagWindow(2))
         assert sv.value < 0
         assert sv.clamped == 0.0
+
+
+class TestStackedSeries:
+    def test_autocovariances_match_per_lag_definition(self):
+        rng = np.random.default_rng(12)
+        for n, n_lags in [(1, 1), (2, 2), (37, 37), (300, 17), (1000, 1)]:
+            s = rng.standard_normal(n).cumsum() + 5.0
+            acov = autocovariances(s, n_lags)
+            ref = [sample_autocovariance(s, lag) for lag in range(n_lags)]
+            np.testing.assert_allclose(acov, ref, rtol=0, atol=1e-13 * abs(ref[0]))
+
+    def test_autocovariances_reject_lag_count(self):
+        with pytest.raises(ValueError):
+            autocovariances(np.arange(5.0), 6)
+        with pytest.raises(ValueError):
+            autocovariances(np.arange(5.0), 0)
+
+    def test_stack_equals_its_rows_and_the_dense_oracle(self):
+        rng = np.random.default_rng(13)
+        for k, n, b_n in [(1, 50, 7), (2, 300, 40), (4, 512, 128), (5, 257, 257), (3, 64, 1)]:
+            z = rng.standard_normal((k, n)).cumsum(axis=1) * rng.uniform(0.5, 3.0, (k, 1))
+            w = LagWindow(b_n)
+            stacked = spectral_variance(z, w)
+            assert stacked.value.shape == (k,) and (stacked.b_n, stacked.n) == (b_n, n)
+            for row, value in zip(z, stacked.value):
+                alone = spectral_variance(row, w).value
+                assert isinstance(alone, float) and alone == value
+                dense = float(row @ weight_matrix_oracle(n, w) @ row)
+                assert abs(value - dense) <= 1e-12 * abs(dense)
+
+    def test_stack_of_rows_is_clamped_per_row(self):
+        z = np.stack([np.tile([1.0, -1.0], 50), np.arange(100.0)])
+        sv = spectral_variance(z, LagWindow(2))
+        assert sv.value[0] < 0 < sv.value[1]
+        np.testing.assert_array_equal(sv.clamped, [0.0, sv.value[1]])
 
 
 class TestEmpiricalVariance:
