@@ -12,11 +12,9 @@ from .chains import (
     Trajectory,
     TrajectoryMeta,
     ergodic_average,
-    evaluate,
     export_csv,
     load_trajectory,
     save_trajectory,
-    split_burn_in,
 )
 from .errors import ConfigError, EsvmError, NumericError, StageError
 from .fitting import (
@@ -76,6 +74,7 @@ from .variance import (
     SpectralVariance,
     default_truncation,
     empirical_variance,
+    long_run_covariance,
     quadratic_form_apply,
     sample_autocovariance,
     spectral_variance,

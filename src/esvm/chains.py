@@ -1,17 +1,15 @@
-"""Chain trajectories: containers, functional evaluation, seeding, and file formats.
+"""Chain trajectories: containers, ergodic averages, seeding, and file formats.
 
 A trajectory is an immutable (n, d) array of visited states plus provenance
-metadata. Scalar functionals of the state are evaluated into plain float64
-series, which every estimator in the package consumes.
+metadata.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -127,50 +125,6 @@ def ergodic_average(values: np.ndarray) -> float:
     if values.size == 0:
         raise ValueError("empty series")
     return float(values.mean())
-
-
-def split_burn_in(traj: Trajectory, n_burn: int) -> Trajectory:
-    """Drop the first n_burn states; the remainder keeps its provenance."""
-    if n_burn < 0:
-        raise ValueError("burn-in count must be nonnegative")
-    if n_burn >= len(traj):
-        raise ValueError(f"burn-in {n_burn} leaves no states out of {len(traj)}")
-    return Trajectory(traj.states[n_burn:], replace(traj.meta, burn_in_removed=True))
-
-
-def evaluate(f: Callable, traj: Trajectory) -> np.ndarray:
-    """Apply a scalar functional to every state, in order.
-
-    Accepts either a per-state callable (vector -> float) or one that is
-    already vectorized over an (n, d) block; the vectorized path is detected
-    by the shape of its output.
-    """
-    n = len(traj)
-    values = None
-    try:
-        out = np.asarray(f(traj.states), dtype=np.float64)
-        if out.shape == (n,):
-            if n != traj.dim:
-                values = out.copy()
-            else:
-                # Square case is ambiguous (a per-state f applied to the whole
-                # block can return a d-vector); probe both ends to decide.
-                try:
-                    probes = float(f(traj.states[0])), float(f(traj.states[-1]))
-                    if probes == (out[0], out[-1]):
-                        values = out.copy()
-                except Exception:
-                    values = out.copy()
-    except Exception:
-        values = None
-    if values is None:
-        values = np.empty(n, dtype=np.float64)
-        for k in range(n):
-            values[k] = f(traj.states[k])
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise EsvmError(f"functional returned non-finite value at state index {bad[0]}")
-    return values
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -2,10 +2,13 @@
 
 Two criteria: the windowed long-run variance of the adjusted series (the
 primary one) and the plain sample variance (the baseline that ignores serial
-correlation). Both are quadratic in the parameters for the linear families,
-where a ridge-stabilized normal-equation solve is exact; the bump family and
-any pathological quadratic case go through a limited-memory quasi-Newton
-descent with a backtracking line search.
+correlation). Both are the same windowed quadratic form: the sample variance
+is its one-lag case, rescaled from divisor n to n - 1. For the linear
+families the criterion is quadratic in the parameters, and one windowed
+long-run covariance matrix of [f, features] gives the ridge-stabilized normal
+equations and the criterion at zero. The bump family and any pathological
+quadratic case go through a limited-memory quasi-Newton descent with a
+backtracking line search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import EsvmError
 from .stein import SteinFamily, rbf_jacobian, rbf_quantile_centers, stein_values
-from .variance import LagWindow, _toeplitz_matvec
+from .variance import LagWindow, _apply_window, long_run_covariance
 
 MONOTONE_SLACK = 1e-9
 
@@ -117,45 +120,41 @@ class FitResult:
         }
 
 
-def esvm_objective(theta, design: DesignSet):
-    """Windowed long-run variance of f - g_theta and its parameter gradient,
-    evaluated matrix-free in O(n * b_n + n * p)."""
+def _criterion(design: DesignSet, kind: str):
+    """Lag window and scale of a training criterion: the design's window for
+    esvm; for evm the one-lag window (the lag-0 autocovariance, divisor n)
+    rescaled to the unbiased divisor n - 1."""
+    if kind == "esvm":
+        return design.window, 1.0
+    return LagWindow(1), design.n / (design.n - 1)
+
+
+def _objective(theta, design: DesignSet, kind: str):
+    """Criterion `kind` of f - g_theta and its parameter gradient: the scaled
+    windowed long-run variance, evaluated matrix-free in O(n * b_n + n * p)."""
+    window, scale = _criterion(design, kind)
     theta = np.asarray(theta, dtype=np.float64)
     g, jac = design._cv_values_and_jacobian(theta)
     resid = design.f_values - g
     c = resid - resid.mean()
-    u = _toeplitz_matvec(c, design.window)
+    u = _apply_window(c, window)
     value = float(c @ u) / design.n
     u -= u.mean()
     grad = -2.0 * (jac.T @ u) / design.n
-    return value, grad
+    return scale * value, scale * grad
+
+
+def esvm_objective(theta, design: DesignSet):
+    """Windowed long-run variance of f - g_theta and its parameter gradient."""
+    return _objective(theta, design, "esvm")
 
 
 def evm_objective(theta, design: DesignSet):
     """Unbiased sample variance of f - g_theta and its parameter gradient."""
-    theta = np.asarray(theta, dtype=np.float64)
-    g, jac = design._cv_values_and_jacobian(theta)
-    resid = design.f_values - g
-    c = resid - resid.mean()
-    scale = 1.0 / (design.n - 1)
-    value = float(c @ c) * scale
-    grad = -2.0 * scale * (jac.T @ c)
-    return value, grad
+    return _objective(theta, design, "evm")
 
 
 OBJECTIVES = {"esvm": esvm_objective, "evm": evm_objective}
-
-
-def _apply_criterion_operator(design: DesignSet, kind: str, vec: np.ndarray) -> np.ndarray:
-    """M @ vec for the quadratic criterion v' M v: the centered-window
-    operator for the spectral criterion, the scaled centering projector for
-    the sample-variance one."""
-    c = vec - vec.mean()
-    if kind == "esvm":
-        u = _toeplitz_matvec(c, design.window)
-        u -= u.mean()
-        return u / design.n
-    return c / (design.n - 1)
 
 
 def default_ridge(normal_matrix: np.ndarray) -> float:
@@ -182,14 +181,11 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
     if objective_kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective_kind!r}")
     objective = OBJECTIVES[objective_kind]
-    psi = design.features
-    p = psi.shape[1]
-    m_psi = np.column_stack(
-        [_apply_criterion_operator(design, objective_kind, psi[:, j]) for j in range(p)]
-    )
-    normal = psi.T @ m_psi
-    normal = 0.5 * (normal + normal.T)
-    rhs = m_psi.T @ design.f_values
+    p = design.n_params
+    window, scale = _criterion(design, objective_kind)
+    cov = scale * long_run_covariance(np.column_stack([design.f_values, design.features]),
+                                      window)
+    normal, rhs, value_zero = cov[1:, 1:], cov[1:, 0], float(cov[0, 0])
     if ridge is None:
         ridge = default_ridge(normal)
 
@@ -201,7 +197,6 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
     except np.linalg.LinAlgError:
         theta = None
 
-    value_zero = objective(np.zeros(p), design)[0]
     result = None
     if theta is not None:
         value_theta = objective(theta, design)[0]

@@ -1,22 +1,22 @@
 """Long-run variance estimation for serially correlated series.
 
-The estimator is a truncated, kernel-weighted sum of sample autocovariances.
-It is algebraically a quadratic form z' A z with A = P W P / n, where P is the
-centering projector and W a banded Toeplitz matrix of window weights. Both
-routes are implemented: the direct windowed sum (`spectral_variance`, over
-autocovariances computed by FFT) and the matrix-free quadratic form
-(`quadratic_form_apply`), plus a dense oracle for tests. Production paths never
-materialize W or A.
+The estimator is a truncated, trapezoid-weighted sum of sample
+autocovariances. It is algebraically a quadratic form z' A z with
+A = P W P / n, where P is the centering projector and W the banded Toeplitz
+matrix of window weights. One private operator applies W to centered series
+by convolution; `long_run_covariance` builds the windowed covariance matrix
+Z_c' W Z_c / n of a block of columns from it, and `spectral_variance` and
+`quadratic_form_apply` are its diagonal and one-series cases. The sample
+variance is the one-lag window rescaled to divisor n - 1. A dense oracle is
+kept for tests; production paths never materialize W or A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
 
 
 def trapezoid_kernel(u):
@@ -37,31 +37,19 @@ def default_truncation(n: int) -> int:
 
 @dataclass(frozen=True)
 class LagWindow:
-    """Truncation point plus an even kernel w: [-1,1] -> [0,1] with w = 1 on
-    [-1/2, 1/2]. Integer lags s with |s| >= b_n get weight zero regardless of
-    the kernel's endpoint values, so the windowed sum and the Toeplitz form
-    agree for any admissible kernel."""
+    """Truncation point b_n of the trapezoid window: integer lags s with
+    |s| < b_n get weight `trapezoid_kernel(s / b_n)`, the others zero."""
 
     b_n: int
-    kernel: Callable = trapezoid_kernel
 
     def __post_init__(self):
         if self.b_n < 1:
             raise ValueError("truncation point must be >= 1")
-        grid = np.linspace(-1.0, 1.0, 201)
-        vals = np.asarray(self.kernel(grid), dtype=np.float64)
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-            raise ValueError("kernel values must lie in [0, 1]")
-        if np.max(np.abs(vals - vals[::-1])) > 1e-12:
-            raise ValueError("kernel must be even")
-        inner = np.abs(grid) <= 0.5 + 1e-15
-        if np.max(np.abs(vals[inner] - 1.0)) > 1e-12:
-            raise ValueError("kernel must equal 1 on [-1/2, 1/2]")
 
     def weights(self) -> np.ndarray:
-        """w(s / b_n) for nonnegative integer lags s = 0 .. b_n - 1."""
-        lags = np.arange(self.b_n, dtype=np.float64)
-        return np.asarray(self.kernel(lags / self.b_n), dtype=np.float64)
+        """w(s / b_n) for s = 0 .. b_n - 1 in closed form; s / b_n < 1, so
+        the kernel's floor at zero never applies."""
+        return np.minimum(1.0, 2.0 - 2.0 * (np.arange(self.b_n, dtype=np.float64) / self.b_n))
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,55 @@ def autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
     return irfft(power, size, axis=-1)[..., :n_lags] / n
 
 
+def _check_length(n: int, window: LagWindow) -> None:
+    if n < 1:
+        raise ValueError("empty series")
+    if window.b_n > n:
+        raise ValueError("truncation exceeds sample size")
+
+
+def _apply_window(c: np.ndarray, window: LagWindow) -> np.ndarray:
+    """W applied to each centered series along the last axis of c, without
+    forming W: a convolution with the weight band [w(b-1), .., w(0), ..,
+    w(b-1)], by FFT once the band is wide enough to pay for it."""
+    w = window.weights()
+    band = np.concatenate([w[:0:-1], w])
+    n = c.shape[-1]
+    start = window.b_n - 1
+    if band.size > 64:
+        size = next_fast_len(n + band.size - 1, real=True)
+        full = irfft(rfft(c, size, axis=-1) * rfft(band, size), size, axis=-1)
+        return full[..., start : start + n]
+    out = np.empty_like(c)
+    for row, dst in zip(c.reshape(-1, n), out.reshape(-1, n)):
+        dst[:] = np.convolve(row, band)[start : start + n]
+    return out
+
+
+def long_run_covariance(z: np.ndarray, window: LagWindow) -> np.ndarray:
+    """Windowed long-run covariance S = Z_c' W Z_c / n of the k columns of
+    an (n, k) block, Z_c the block with its column means subtracted; the
+    (i, j) entry is the lag-windowed sum of the cross-covariances of columns
+    i and j. Symmetric (k, k); O(n * (b_n + k) * k), or O(n * (log n + k) * k)
+    once the band is convolved by FFT."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise ValueError("block must be (n, k)")
+    n = z.shape[0]
+    _check_length(n, window)
+    c = np.subtract(z.T, z.mean(axis=0)[:, None], order="C")
+    # W Z_c is formed about 1 MiB of columns at a time, which keeps the
+    # working set near one copy of the block
+    step = max(1, (1 << 17) // n)
+    s = np.hstack([c @ _apply_window(c[j : j + step], window).T
+                   for j in range(0, c.shape[0], step)]) / n
+    return 0.5 * (s + s.T)
+
+
 def spectral_variance(series: np.ndarray, window: LagWindow) -> SpectralVariance:
-    """Windowed sum of sample autocovariances over lags |s| < b_n.
+    """Windowed sum of sample autocovariances over lags |s| < b_n, the
+    diagonal of `long_run_covariance`: sum(c * W c) / n of the centered
+    series c.
 
     `series` is one series (n,), whose value is a float, or a stack (k, n),
     whose value is an array of k; each row's value equals that of the row
@@ -126,13 +161,9 @@ def spectral_variance(series: np.ndarray, window: LagWindow) -> SpectralVariance
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.shape[-1] if series.ndim else 0
-    if n < 1:
-        raise ValueError("empty series")
-    if window.b_n > n:
-        raise ValueError("truncation exceeds sample size")
-    w = window.weights()
-    w[1:] *= 2.0
-    value = np.add.reduce(autocovariances(series, window.b_n) * w, axis=-1)
+    _check_length(n, window)
+    c = series - series.mean(axis=-1, keepdims=True)
+    value = np.add.reduce(c * _apply_window(c, window), axis=-1) / n
     return SpectralVariance(value=float(value) if value.ndim == 0 else value,
                             b_n=window.b_n, n=n)
 
@@ -145,38 +176,11 @@ def empirical_variance(series: np.ndarray) -> float:
     return float(np.var(series, ddof=1))
 
 
-def _banded_weights(window: LagWindow) -> np.ndarray:
-    """Symmetric weight band [w(b-1), .., w(1), w(0), w(1), .., w(b-1)]."""
-    w = window.weights()
-    return np.concatenate([w[:0:-1], w])
-
-
-def _toeplitz_matvec(vec: np.ndarray, window: LagWindow) -> np.ndarray:
-    """W @ vec for the banded Toeplitz weight matrix, without forming W.
-
-    Uses FFT convolution once the band is wide enough to pay for it.
-    """
-    band = _banded_weights(window)
-    if band.size > 64:
-        full = fftconvolve(vec, band, mode="full")
-    else:
-        full = np.convolve(vec, band, mode="full")
-    start = window.b_n - 1
-    return full[start : start + vec.size]
-
-
 def quadratic_form_apply(vec: np.ndarray, window: LagWindow) -> float:
-    """z' A z computed matrix-free; agrees with `spectral_variance` to
-    rounding error (both are the same quadratic form)."""
+    """z' A z of one series, the one-column case of `long_run_covariance`;
+    agrees with `spectral_variance` to rounding error."""
     vec = np.asarray(vec, dtype=np.float64)
-    n = vec.size
-    if n < 1:
-        raise ValueError("empty series")
-    if window.b_n > n:
-        raise ValueError("truncation exceeds sample size")
-    c = vec - vec.mean()
-    u = _toeplitz_matvec(c, window)
-    return float(c @ u) / n
+    return float(long_run_covariance(vec.reshape(-1, 1), window)[0, 0])
 
 
 def weight_matrix_oracle(n: int, window: LagWindow) -> np.ndarray:
@@ -190,9 +194,7 @@ def weight_matrix_oracle(n: int, window: LagWindow) -> np.ndarray:
     lag = idx[None, :] - idx[:, None]
     inside = np.abs(lag) < window.b_n
     w_mat = np.zeros((n, n))
-    w_mat[inside] = np.asarray(
-        window.kernel(lag[inside].astype(np.float64) / window.b_n), dtype=np.float64
-    )
+    w_mat[inside] = trapezoid_kernel(lag[inside].astype(np.float64) / window.b_n)
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
     return proj.T @ w_mat @ proj / n
 

@@ -1,4 +1,4 @@
-"""Trajectory containers, functional evaluation, seeding, persistence."""
+"""Trajectory containers, ergodic averages, seeding, persistence."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from esvm.chains import (
     Trajectory,
     TrajectoryMeta,
     ergodic_average,
-    evaluate,
     export_csv,
     load_trajectory,
     save_trajectory,
-    split_burn_in,
 )
 from esvm.errors import EsvmError
 
@@ -76,57 +74,6 @@ class TestErgodicAverage:
         traj, v_inf = ar1_reference(0.5, 100_000, 5)
         se = np.sqrt(v_inf / len(traj))
         assert abs(ergodic_average(traj.states[:, 0])) < 3 * se
-
-
-class TestSplitBurnIn:
-    def test_suffix_retained(self):
-        t = _traj(n=5)
-        out = split_burn_in(t, 2)
-        np.testing.assert_array_equal(out.states, t.states[2:])
-        assert out.meta.burn_in_removed
-
-    def test_zero_burn_in_keeps_states(self):
-        t = _traj(n=4)
-        np.testing.assert_array_equal(split_burn_in(t, 0).states, t.states)
-
-    def test_composition(self):
-        t = _traj(n=20)
-        a, b = 3, 5
-        left = split_burn_in(t, a + b)
-        right = split_burn_in(split_burn_in(t, a), b)
-        np.testing.assert_array_equal(left.states, right.states)
-
-    def test_burn_in_too_large(self):
-        with pytest.raises(ValueError):
-            split_burn_in(_traj(n=5), 5)
-
-
-class TestEvaluate:
-    def test_first_coordinate(self):
-        t = Trajectory(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(evaluate(lambda x: x[0], t), [1.0, 3.0])
-
-    def test_squared_coordinate(self):
-        t = Trajectory(np.array([[2.0, 0.0]]))
-        np.testing.assert_array_equal(evaluate(lambda x: x[0] ** 2, t), [4.0])
-
-    def test_vectorized_callable_fast_path(self):
-        t = _traj(n=64, d=3)
-        slow = evaluate(lambda x: float(x[1]) ** 3, t)
-        fast = evaluate(lambda s: s[:, 1] ** 3, t)
-        np.testing.assert_allclose(fast, slow, rtol=1e-15)
-
-    def test_nonfinite_value_names_index(self):
-        t = Trajectory(np.array([[1.0], [2.0], [3.0]]))
-        with pytest.raises(EsvmError, match="index 1"):
-            evaluate(lambda x: np.inf if x[0] == 2.0 else x[0], t)
-
-    def test_reevaluation_is_pure(self):
-        t = _traj(n=32)
-        f = lambda x: x[0] * x[1]
-        first = ergodic_average(evaluate(f, t))
-        second = ergodic_average(evaluate(f, t))
-        assert first == second
 
 
 class TestSeedKey:

@@ -200,8 +200,11 @@ class TestSolveLinear:
 
 class TestQuasiNewton:
     def test_quadratic_converges_to_linear_solution(self):
-        design = _random_design(n=180, p=5, b_n=8, seed=15)
+        # a design whose windowed quadratic has a minimum, so the exact solve
+        # is kept and the descent from zero is checked against it
+        design = _random_design(n=180, p=5, b_n=8, seed=16)
         exact = solve_linear(design, "esvm", ridge=0.0)
+        assert exact.method == "linear_solve"
         qn = fit_quasi_newton(lambda t: esvm_objective(t, design), np.zeros(5))
         assert qn.converged
         assert qn.iterations <= 50

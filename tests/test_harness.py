@@ -155,9 +155,8 @@ class TestRunExperiment:
             chain, _ = esvm.sample_chain(
                 esvm.SamplerConfig(cfg.sampler_kind, cfg.gamma,
                                    cfg.n_burn + cfg.n_test,
-                                   esvm.SeedKey(cfg.seed, stream)),
+                                   esvm.SeedKey(cfg.seed, stream), n_burn=cfg.n_burn),
                 cfg.target, cfg.start_point())
-            chain = esvm.split_burn_in(chain, cfg.n_burn)
             f = functional(chain.states)
             g = esvm.stein_values(cfg.family, theta, chain.states,
                                   cfg.target.gradient(chain.states))

@@ -1,5 +1,6 @@
 """Windowed long-run variance estimation: kernels, autocovariances, the
-quadratic-form equivalence, and the operator-norm bound."""
+windowed long-run covariance matrix, the quadratic-form equivalence, and the
+operator-norm bound."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from esvm.variance import (
     autocovariances,
     default_truncation,
     empirical_variance,
+    long_run_covariance,
     power_iteration_norm,
     quadratic_form_apply,
     sample_autocovariance,
@@ -43,16 +45,17 @@ class TestTrapezoidKernel:
 
 class TestLagWindow:
     def test_rejects_bad_kernels(self):
-        with pytest.raises(ValueError):
-            LagWindow(5, kernel=lambda u: np.abs(np.asarray(u)))  # not 1 on plateau
-        with pytest.raises(ValueError):
-            LagWindow(5, kernel=lambda u: 2.0 * np.ones_like(np.asarray(u)))
+        # the window is always the trapezoid: no other kernel is accepted
+        with pytest.raises(TypeError):
+            LagWindow(5, kernel=lambda u: np.abs(np.asarray(u)))
         with pytest.raises(ValueError):
             LagWindow(0)
 
     def test_weights_are_kernel_at_scaled_lags(self):
-        w = LagWindow(4)
-        np.testing.assert_allclose(w.weights(), [1.0, 1.0, 1.0, 0.5])
+        np.testing.assert_array_equal(LagWindow(4).weights(), [1.0, 1.0, 1.0, 0.5])
+        for b in range(1, 401):
+            np.testing.assert_array_equal(LagWindow(b).weights(),
+                                          trapezoid_kernel(np.arange(b) / b))
 
 
 class TestSampleAutocovariance:
@@ -170,6 +173,57 @@ class TestStackedSeries:
         sv = spectral_variance(z, LagWindow(2))
         assert sv.value[0] < 0 < sv.value[1]
         np.testing.assert_array_equal(sv.clamped, [0.0, sv.value[1]])
+
+
+class TestLongRunCovariance:
+    @pytest.mark.parametrize("n,k,b_n", [(40, 3, 1), (64, 2, 64), (300, 4, 32),
+                                         (300, 4, 33), (257, 5, 100), (512, 3, 512)])
+    def test_matches_dense_oracle(self, n, k, b_n):
+        # b_n = 32 is the widest band (63 weights) convolved directly, 33 the
+        # narrowest convolved by FFT
+        rng = np.random.default_rng(n + k + b_n)
+        z = rng.standard_normal((n, k)).cumsum(axis=0) + rng.uniform(-50, 50, k)
+        w = LagWindow(b_n)
+        cov = long_run_covariance(z, w)
+        dense = z.T @ weight_matrix_oracle(n, w) @ z
+        assert cov.shape == (k, k)
+        np.testing.assert_array_equal(cov, cov.T)
+        assert np.max(np.abs(cov - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n,b_n", [(500, 1), (500, 20), (2000, 300), (80, 80)])
+    def test_diagonal_is_spectral_variance(self, n, b_n):
+        rng = np.random.default_rng(b_n)
+        z = rng.standard_normal((n, 3)).cumsum(axis=0) * [1.0, 10.0, 0.1] + 7.0
+        w = LagWindow(b_n)
+        diag = np.diag(long_run_covariance(z, w))
+        sv = spectral_variance(z.T, w).value
+        np.testing.assert_allclose(diag, sv, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("b_n", [20, 300])
+    def test_column_blocks_match_polarization(self, b_n):
+        # at this length W is applied to a few columns at a time; each entry
+        # must still be (V(z_i + z_j) - V(z_i - z_j)) / 4 of the diagonal route
+        rng = np.random.default_rng(b_n)
+        z = rng.standard_normal((40_000, 5)).cumsum(axis=0) * 0.01 + rng.uniform(-5, 5, 5)
+        w = LagWindow(b_n)
+        cov = long_run_covariance(z, w)
+        plus = spectral_variance((z[:, :, None] + z[:, None, :]).reshape(40_000, -1).T, w)
+        minus = spectral_variance((z[:, :, None] - z[:, None, :]).reshape(40_000, -1).T, w)
+        polar = (plus.value - minus.value).reshape(5, 5) / 4.0
+        assert np.max(np.abs(cov - polar)) <= 1e-12 * np.max(np.abs(cov))
+
+    def test_one_lag_is_sample_covariance(self):
+        rng = np.random.default_rng(17)
+        n = 250
+        z = rng.standard_normal((n, 4)) @ rng.standard_normal((4, 4)) + 3.0
+        cov = long_run_covariance(z, LagWindow(1)) * (n / (n - 1))
+        np.testing.assert_allclose(cov, np.cov(z, rowvar=False), rtol=1e-13, atol=0)
+
+    def test_rejects_bad_blocks(self):
+        with pytest.raises(ValueError, match="truncation exceeds sample size"):
+            long_run_covariance(np.zeros((5, 2)), LagWindow(6))
+        with pytest.raises(ValueError):
+            long_run_covariance(np.zeros(5), LagWindow(1))
 
 
 class TestEmpiricalVariance:
