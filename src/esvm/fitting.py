@@ -227,8 +227,11 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
                      armijo: float = 1e-4, backtrack: float = 0.5) -> FitResult:
     """Limited-memory quasi-Newton descent with a backtracking line search.
 
-    Stops when the max-norm of the gradient falls below grad_tol * (1 + |f|)
-    or after max_iter iterations. A line search that underflows returns the
+    Stops when the max-norm of the gradient falls below
+    grad_tol * (1 + min(|f|, |f(theta0)|)) or after max_iter iterations. The
+    line search never raises f, so the cap on |f| only acts once f has fallen
+    below -|f(theta0)|: a descent running without bound is not called
+    converged for its size alone. A line search that underflows returns the
     best point seen so far with converged=False; non-finite trial values just
     shrink the step.
     """
@@ -254,7 +257,7 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
         )
 
     for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(grad)) <= grad_tol * (1.0 + abs(value)):
+        if np.max(np.abs(grad)) <= grad_tol * (1.0 + min(abs(value), abs(value_start))):
             converged = True
             iterations -= 1
             break

@@ -20,6 +20,7 @@ run_info block that reproducibility comparisons must ignore.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy
 from scipy.special import expit, ndtr
 
 from .chains import SeedKey, Trajectory, ergodic_average
@@ -285,18 +287,21 @@ class VRFReport:
 
 
 class _Stage:
-    """Context manager tagging failures with the pipeline stage name."""
+    """Context manager recording a pipeline stage's (wall, CPU) seconds under
+    its name and tagging failures with that name. CPU time is the process's,
+    summed over its threads."""
 
     def __init__(self, name: str, timings: dict):
         self.name = name
         self.timings = timings
 
     def __enter__(self):
-        self._start = time.perf_counter()
+        self._start = time.perf_counter(), time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.timings[self.name] = time.perf_counter() - self._start
+        wall, cpu = self._start
+        self.timings[self.name] = (time.perf_counter() - wall, time.process_time() - cpu)
         if exc is not None and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False
@@ -481,20 +486,23 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
         vanilla=vanilla,
         methods=methods,
         acceptance=acceptance,
-        run_info={"created_at": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        run_info={"created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                  "versions": {"python": platform.python_version(),
+                               "numpy": np.__version__, "scipy": scipy.__version__}},
     )
 
 
 def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig,
                   n_first: int, with_train: bool) -> VRFReport:
-    """Record the stage timings once every stage, aggregation included, has
-    closed, and next to them the chain-steps each sampling stage advanced
-    (states per chain, burn-in included, summed over chains), so that
-    chain-steps per second can be read from the report. `train-sampling`
+    """Record the stage wall and CPU timings once every stage, aggregation
+    included, has closed, and next to them the chain-steps each sampling
+    stage advanced (states per chain, burn-in included, summed over chains),
+    so that chain-steps per second can be read from the report. `train-sampling`
     advanced the first batch of n_first test chains, and the training chain
     when with_train; `test-evaluation` the later batches."""
     per_test = config.n_burn + config.n_test
-    report.run_info["timings"] = {k: round(v, 6) for k, v in timings.items()}
+    report.run_info["timings"] = {k: round(wall, 6) for k, (wall, _) in timings.items()}
+    report.run_info["cpu_timings"] = {k: round(cpu, 6) for k, (_, cpu) in timings.items()}
     report.run_info["chain_steps"] = {
         "train-sampling": ((config.n_burn + config.n_train if with_train else 0)
                            + n_first * per_test),

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import expit, log_ndtr
 
 from .chains import ROLE_NORMAL, SeedKey, Trajectory, TrajectoryMeta
@@ -361,6 +360,12 @@ def ar1_reference(a: float, n: int, seed: int):
     series = np.empty(n)
     series[0] = x0
     if n > 1:
+        # Imported here, not at the top: scipy.signal loads stats, optimize,
+        # linalg, sparse and more, which nothing else in esvm uses. At module
+        # level it would triple the time `import esvm` takes and double its
+        # memory.
+        from scipy.signal import lfilter
+
         z = rng.standard_normal(n - 1)
         series[1:] = lfilter([1.0], [1.0, -a], z, zi=np.array([a * x0]))[0]
     v_infinity = (1.0 / (1.0 - a * a)) * (1.0 + a) / (1.0 - a)

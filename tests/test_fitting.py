@@ -210,6 +210,16 @@ class TestQuasiNewton:
         assert qn.iterations <= 50
         np.testing.assert_allclose(qn.theta, exact.theta, atol=1e-6)
 
+    def test_unbounded_descent_is_unconverged(self):
+        # the windowed quadratic of this design has a negative eigenvalue, so
+        # the descent from zero runs without bound; a gradient test relative
+        # to the current |f| called it converged at f of about -9e17
+        design = _random_design(n=180, p=5, b_n=8, seed=15)
+        with np.errstate(over="ignore", invalid="ignore"):
+            qn = fit_quasi_newton(lambda t: esvm_objective(t, design), np.zeros(5))
+        assert qn.objective_at_theta < 0.0
+        assert not qn.converged
+
     def test_starting_at_optimum_stops_immediately(self):
         design = _random_design(n=180, p=5, b_n=8, seed=16)
         exact = solve_linear(design, "esvm", ridge=0.0)

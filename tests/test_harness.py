@@ -189,13 +189,37 @@ class TestStageTimings:
         assert set(mini_report.run_info["timings"]) == {
             "train-sampling", "fit", "test-evaluation", "aggregate"}
 
+    def test_cpu_time_recorded_per_stage(self, mini_report):
+        wall, cpu = mini_report.run_info["timings"], mini_report.run_info["cpu_timings"]
+        assert set(cpu) == set(wall)
+        assert cpu["train-sampling"] > 0.0 and min(cpu.values()) >= 0.0
+        # a stage that sleeps takes wall time but next to no CPU time
+        import time
+
+        from esvm.harness import _Stage
+
+        timings = {}
+        with _Stage("idle", timings):
+            time.sleep(0.2)
+        idle_wall, idle_cpu = timings["idle"]
+        assert idle_wall >= 0.2 and idle_cpu < 0.1
+
+    def test_library_versions_recorded(self, mini_report):
+        import platform
+
+        import scipy
+
+        assert mini_report.run_info["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
     def test_evaluation_with_parameters_times_aggregation(self, mini_report):
         from esvm.harness import evaluate_with_parameters
 
         cfg = _mini_config(n_train=400, n_test=400, n_test_chains=2, b_n_train=5)
         thetas = {m.method: m.family["params"] for m in mini_report.methods}
         report = evaluate_with_parameters(cfg, thetas)
-        assert set(report.run_info["timings"]) == {
+        assert set(report.run_info["timings"]) == set(report.run_info["cpu_timings"]) == {
             "train-sampling", "test-evaluation", "aggregate"}
 
     def test_chain_steps_recorded_per_sampling_stage(self, monkeypatch, mini_report):

@@ -1,8 +1,15 @@
-"""Target potentials and gradients, dataset ingestion, the reference chain."""
+"""Target potentials and gradients, dataset ingestion, the reference chain,
+and the scipy subpackages that importing esvm loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esvm
 from esvm.targets import (
     ar1_reference,
     banana_target,
@@ -253,16 +260,18 @@ class TestAr1Reference:
         assert ar1_reference(0.9, 10, 0)[1] == pytest.approx(100.0)
 
     def test_recursion_matches_hand_loop(self):
-        traj, _ = ar1_reference(0.7, 10, 42)
         from esvm.chains import ROLE_NORMAL, SeedKey
 
-        rng = SeedKey(42, 0).generator(ROLE_NORMAL)
-        x = rng.standard_normal() / np.sqrt(1 - 0.49)
-        ref = [x]
-        for z in rng.standard_normal(9):
-            x = 0.7 * x + z
-            ref.append(x)
-        np.testing.assert_allclose(traj.states[:, 0], ref, rtol=1e-12)
+        n = 100_000
+        for a in (0.5, 0.7, 0.9):
+            traj, _ = ar1_reference(a, n, 42)
+            rng = SeedKey(42, 0).generator(ROLE_NORMAL)
+            x = rng.standard_normal() / np.sqrt(1 - a * a)
+            ref = [x]
+            for z in rng.standard_normal(n - 1).tolist():
+                x = a * x + z
+                ref.append(x)
+            np.testing.assert_array_equal(traj.states[:, 0], ref, err_msg=f"a={a}")
 
     def test_coefficient_bounds(self):
         with pytest.raises(ValueError):
@@ -272,3 +281,51 @@ class TestAr1Reference:
         ds = synthetic_logistic_dataset(120, 4, k_test=20, seed=5)
         assert ds.generating_coefficients.shape == (4,)
         assert ds.features_train.shape == (100, 4)
+
+
+# Loaded by scipy.signal and by nothing esvm runs outside `ar1_reference`.
+_UNUSED_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
+                 "scipy.linalg", "scipy.sparse", "scipy.ndimage", "scipy.integrate",
+                 "scipy.spatial")
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import esvm, esvm.cli, esvm.config
+from esvm import targets
+x = np.zeros((3, 2))
+for t in (targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
+          targets.gmm_isolated_target(0.4, -3.0, 1.0, 4.0, 0.5),
+          targets.banana_target(100.0, 0.1, 2)):
+    t.value_and_grad(x[:, :t.dim])
+ds = targets.synthetic_logistic_dataset(60, 3, k_test=10, seed=1)
+for t in (targets.logistic_target(ds), targets.probit_target(ds)):
+    t.value_and_grad(np.zeros((3, t.dim)))
+cfg = esvm.ExperimentConfig(
+    name="probe", target=targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
+    functional=esvm.FunctionalSpec("coordinate", 0), family=esvm.SteinFamily("second_order", 2),
+    sampler_kind="mala", gamma=0.5, n_burn=50, n_train=300, n_test=200, n_test_chains=2)
+esvm.run_experiment(cfg)
+print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+targets.ar1_reference(0.5, 10, 0)
+print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+"""
+
+
+def test_import_and_run_load_no_unused_scipy_subpackage():
+    # A fresh interpreter, since the suite's own process has imported more,
+    # finding the same esvm as this one.
+    src = str(Path(esvm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                         text=True, check=True, env=env).stdout.splitlines()
+    after_run, after_ar1 = (set(line.split()) for line in out)
+
+    def loaded(modules, package):
+        return any(m == package or m.startswith(package + ".") for m in modules)
+
+    assert [p for p in _UNUSED_SCIPY if loaded(after_run, p)] == []
+    assert loaded(after_run, "scipy.special") and loaded(after_run, "scipy.fft")
+    # the probe can see a lazy import when one happens
+    assert loaded(after_ar1, "scipy.signal")
