@@ -160,6 +160,13 @@ def _print_summary(report) -> None:
     for m in report.methods:
         print(f"  {m.method}: mean VRF {m.mean_vrf}"
               + (f" ({m.infinite_count} flagged infinite)" if m.infinite_count else ""))
+    cpu = report.run_info["cpu_timings"]
+    steps = report.run_info["chain_steps"]
+    for stage, wall in report.run_info["timings"].items():
+        line = f"  {stage}: {wall:.3f} s wall, {cpu[stage]:.3f} s CPU"
+        if steps.get(stage):
+            line += f", {steps[stage] / wall:,.0f} chain-steps/s"
+        print(line)
 
 
 _COMMANDS = {

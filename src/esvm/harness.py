@@ -29,14 +29,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
 from .fitting import DesignSet, FitResult, RbfResponse, fit
 from .samplers import NOISE_BLOCK, SamplerConfig, sample_chain, sample_chains
 from .stein import SteinFamily, feature_matrix, stein_values
-from .targets import Dataset, TargetModel
+from .targets import Dataset, TargetModel, _sigmoid
 from .variance import LagWindow, autocovariances, default_truncation, spectral_variance
 
 SCHEMA_VERSION = 1
@@ -92,7 +92,8 @@ def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
 
     def average_test_likelihood(states):
         t = np.asarray(states) @ feats.T
-        per_point = expit(signs * t) if regression_kind == "logistic" else ndtr(signs * t)
+        t *= signs
+        per_point = _sigmoid(t, out=t) if regression_kind == "logistic" else ndtr(t, out=t)
         return per_point.mean(axis=1)
 
     return average_test_likelihood

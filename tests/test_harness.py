@@ -1,9 +1,11 @@
 """Experiment pipeline, reports, ACF, truncation sweep, CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from scipy.special import expit, ndtr
 
 import esvm
 from esvm.errors import ConfigError
@@ -105,6 +107,20 @@ class TestFunctionals:
         f = make_functional(FunctionalSpec("test_likelihood"), ds, "logistic")
         states = np.zeros((2, 3))
         np.testing.assert_allclose(f(states), 0.5)  # zero coefficients: p = 1/2 each
+
+    @pytest.mark.parametrize("kind", ["logistic", "probit"])
+    def test_test_likelihood_matches_scipy(self, kind):
+        ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
+        states = 2.0 * np.random.default_rng(31).standard_normal((300, 5))
+        before = states.copy()
+        got = make_functional(FunctionalSpec("test_likelihood"), ds, kind)(states)
+        assert np.array_equal(states, before)
+        t = (2.0 * ds.labels_test - 1.0) * (states @ ds.features_test.T)
+        if kind == "probit":
+            np.testing.assert_array_equal(got, ndtr(t).mean(axis=1))
+        else:
+            ref = expit(t).mean(axis=1)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
 
 
 class TestRunExperiment:
@@ -463,6 +479,20 @@ class TestCli:
         assert (out / "report.json").exists()
         assert (out / "vrf.csv").exists()
         assert "mean VRF" in capsys.readouterr().out
+
+    def test_summary_reports_stage_times(self, tmp_path, capsys):
+        from esvm.cli import main
+
+        cfg = self._write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        times = r"\d+\.\d{3} s wall, \d+\.\d{3} s CPU"
+        # batch_size 2 leaves one of the 3 test chains to a later batch, so
+        # both sampling stages advance chains
+        for stage in ("train-sampling", "test-evaluation"):
+            assert re.search(rf"^  {stage}: {times}, [\d,]+ chain-steps/s$", out, re.M)
+        for stage in ("fit", "aggregate"):
+            assert re.search(rf"^  {re.escape(stage)}: {times}$", out, re.M)
 
     def test_fit_then_evaluate(self, tmp_path, capsys):
         from esvm.cli import main

@@ -4,13 +4,17 @@ and the scipy subpackages that importing esvm loads."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import esvm
 from esvm.targets import (
+    _sigmoid,
+    _softplus,
     ar1_reference,
     banana_target,
     build_dataset,
@@ -48,17 +52,20 @@ _TARGETS = {
 @pytest.mark.parametrize("name", sorted(_TARGETS))
 def test_potential_and_gradient_match_value_and_grad_bit_for_bit(name):
     # the samplers call whichever entry point they need, so a chain must not
-    # depend on which one produced its numbers
+    # depend on which one produced its numbers; and none may warn, even in
+    # the far tail (|x| = 1e3)
     t = _TARGETS[name]()
     rng = np.random.default_rng(21)
     batch = 2.0 * rng.standard_normal((25, t.dim))
     tail = 1e3 * batch / np.linalg.norm(batch, axis=1, keepdims=True)
-    for x in (batch[0], batch, tail[0], tail):
-        u, g = t.value_and_grad(x)
-        assert np.shape(u) == x.shape[:-1] and g.shape == x.shape
-        assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
-        assert np.array_equal(t.potential(x), u)
-        assert np.array_equal(t.gradient(x), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (batch[0], batch, tail[0], tail):
+            u, g = t.value_and_grad(x)
+            assert np.shape(u) == x.shape[:-1] and g.shape == x.shape
+            assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
+            assert np.array_equal(t.potential(x), u)
+            assert np.array_equal(t.gradient(x), g)
 
 
 class TestGmmTarget:
@@ -149,6 +156,47 @@ class TestBananaTarget:
         xs = np.array([[100.0, 0.0], [0.0, 100.0], [-70.0, -70.0]])
         u, g = t.value_and_grad(xs)
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(g))
+
+
+def _assert_within_ulps(got, ref, max_ulps):
+    """NaN where ref is NaN, exactly ref where either side is 0, 1 or inf,
+    and within max_ulps units in ref's last place elsewhere."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    special = (0.0, 1.0, np.inf)
+    exact = (np.isin(got, special) | np.isin(ref, special)) & ~nan
+    np.testing.assert_array_equal(got[exact], ref[exact])
+    rest = ~exact & ~nan
+    assert np.all(np.abs(got[rest] - ref[rest]) <= max_ulps * np.spacing(np.abs(ref[rest])))
+
+
+class TestRowKernels:
+    """The logistic rows' sigmoid and softplus against scipy's and numpy's
+    reference functions."""
+
+    @staticmethod
+    def _inputs():
+        grid = np.array([0.0, 1e-300, 1.0, 40.0, 709.8, 745.0, 1e3, np.inf])
+        normals = 10.0 * np.random.default_rng(17).standard_normal(10_000)
+        return np.concatenate([grid, -grid, [np.nan], normals])
+
+    def test_sigmoid_matches_expit(self):
+        t = self._inputs()
+        with np.errstate(over="ignore"):  # exp(-t) overflows below t = -709.78
+            got = _sigmoid(t)
+            buf = t.copy()
+            assert _sigmoid(buf, out=buf) is buf
+        assert np.array_equal(buf, got, equal_nan=True)
+        _assert_within_ulps(got, expit(t), 4)
+
+    def test_softplus_matches_logaddexp(self):
+        t = self._inputs()
+        with np.errstate(invalid="ignore"):  # logaddexp warns at t = inf
+            ref = np.logaddexp(0.0, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softplus(t)
+        _assert_within_ulps(got, ref, 4)
 
 
 class TestRegressionTargets:
@@ -250,6 +298,22 @@ class TestDatasetStandardization:
         path.write_text("x,label\n1.0,1\n2.0,0\n-1.0,1\n0.5,0\n3.0,1\n")
         ds = ingest_csv(path, "label", k_test=1, seed=0, add_intercept=True)
         assert ds.dim == 2
+
+    def test_synthetic_labels_are_pinned(self):
+        # The labels compare uniforms with expit(x @ coeff), so a sigmoid that
+        # differs from scipy's in one bit could flip one and move every
+        # logistic figure. Features pass through eigh and a BLAS product, so
+        # their bits may differ between machines; labels may not. The hex
+        # strings are np.packbits of the labels: bit i is label i.
+        ds = synthetic_logistic_dataset(500, 8, 100, 90210)
+        for labels, ones, packed in (
+            (ds.labels_train, 206,
+             "9566eb4c8f8f552c648b7dfd9d5467b30b13e19420ae5fabaf78a9b408ed42076a734b56"
+             "8625aa085d3c97e391cfd9e2f46c"),
+            (ds.labels_test, 59, "5e2619bb83ee33c5bcfd7e6ba0"),
+        ):
+            assert labels.sum() == ones
+            assert np.packbits(labels.astype(np.uint8)).tobytes().hex() == packed
 
 
 class TestAr1Reference:
