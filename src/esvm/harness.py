@@ -93,8 +93,11 @@ def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
     def average_test_likelihood(states):
         t = np.asarray(states) @ feats.T
         t *= signs
-        per_point = _sigmoid(t, out=t) if regression_kind == "logistic" else ndtr(t, out=t)
-        return per_point.mean(axis=1)
+        if regression_kind == "probit":
+            return ndtr(t, out=t).mean(axis=1)
+        # far in the tail exp(-t) overflows and the sigmoid is an exact 0
+        with np.errstate(over="ignore"):
+            return _sigmoid(t, out=t).mean(axis=1)
 
     return average_test_likelihood
 
@@ -337,9 +340,12 @@ def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow)
     # are held for one block of states at a time: a logistic posterior holds
     # a row of its data per state.
     grads = np.empty_like(train.states)
-    for lo in range(0, len(train), NOISE_BLOCK):
-        block = slice(lo, lo + NOISE_BLOCK)
-        grads[block] = config.target.gradient(train.states[block])
+    # Overflow is ignored here, as in the samplers: far in the tail the
+    # logistic sigmoid's exp(-t) overflows where the sigmoid is an exact 0.
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(train), NOISE_BLOCK):
+            block = slice(lo, lo + NOISE_BLOCK)
+            grads[block] = config.target.gradient(train.states[block])
     if config.family.linear:
         psi = feature_matrix(config.family, train.states, grads)
         return DesignSet(f_values=f_values, window=window, features=psi)
@@ -396,7 +402,8 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
         f_values = functional(chain.states)
         series = [f_values]
         if fits:
-            grads = config.target.gradient(chain.states)
+            with np.errstate(over="ignore"):  # as in build_design
+                grads = config.target.gradient(chain.states)
             series += [f_values - stein_values(config.family, result.theta, chain.states, grads)
                        for result in fits.values()]
         v_plain, *v_adjusted = spectral_variance(np.stack(series), window).value

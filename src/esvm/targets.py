@@ -290,13 +290,14 @@ def synthetic_logistic_dataset(n_rows: int = 500, n_features: int = 8,
                          generating_coefficients=coeff)
 
 
-# The logistic rows go through numpy's `exp` and `log1p`, which run vectorized
-# (about 1 ns per element where SIMD is available), not `scipy.special.expit`
-# (about 11 ns). Both helpers write in place, because allocating a fresh
-# (chains, rows) array costs as much as the arithmetic. They are private so
-# that tracing, which wraps this module's public functions, does not put a
-# span on every sampler step. Neither opens an `np.errstate`: that costs as
-# much as the whole sigmoid on one chain's rows.
+# The logistic gradient's sigmoid goes through numpy's `exp`, which runs
+# vectorized (about 1 ns per element where SIMD is available), not
+# `scipy.special.expit` (about 11 ns). It writes in place, because allocating
+# a fresh (chains, rows) array costs as much as the arithmetic. It is private
+# so that tracing, which wraps this module's public functions, does not put a
+# span on every sampler step. It opens no `np.errstate`: that costs as much as
+# the whole sigmoid on one chain's rows. The samplers and the harness call the
+# targets under one that ignores overflow.
 
 
 def _sigmoid(t, out=None):
@@ -307,17 +308,6 @@ def _sigmoid(t, out=None):
     np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def _softplus(t):
-    """log(1 + exp(t)) as max(t, 0) + log1p(exp(-|t|)), which cannot
-    overflow, in a new array."""
-    out = np.abs(t)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(t, 0.0)
-    return out
 
 
 def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
@@ -336,9 +326,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
             return x, x @ feats.T
 
         def value(x, t):
-            u = _softplus(t)
-            u -= y * t
-            return np.add.reduce(u, axis=-1) + prior_value(x)
+            return np.add.reduce(np.logaddexp(0.0, t) - y * t, axis=-1) + prior_value(x)
 
         def grad(x, t):
             # Overwrites t: `value_and_grad` calls `value` first, and nothing

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +111,16 @@ class TestFunctionals:
 
     @pytest.mark.parametrize("kind", ["logistic", "probit"])
     def test_test_likelihood_matches_scipy(self, kind):
+        # the last 50 states lie far in the tail, where exp(-t) overflows
+        # and the logistic sigmoid must return 0 without a warning
         ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
-        states = 2.0 * np.random.default_rng(31).standard_normal((300, 5))
+        states = np.random.default_rng(31).standard_normal((350, 5))
+        states[:300] *= 2.0
+        states[300:] *= 1e4
         before = states.copy()
-        got = make_functional(FunctionalSpec("test_likelihood"), ds, kind)(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = make_functional(FunctionalSpec("test_likelihood"), ds, kind)(states)
         assert np.array_equal(states, before)
         t = (2.0 * ds.labels_test - 1.0) * (states @ ds.features_test.T)
         if kind == "probit":
@@ -288,6 +295,27 @@ class TestTrainingChain:
         for m in report.methods:
             assert m.fit == fits[m.method].to_dict()
         assert report.acceptance["train_rate"] == stats.rate
+
+    def test_far_tail_design_and_scoring_raise_no_warning(self):
+        # far in the tail the logistic gradient's exp(-t) overflows where the
+        # sigmoid is an exact 0; fitting on or scoring a chain that wandered
+        # there prints no overflow warning, as inside the samplers
+        from esvm.harness import _score_batch, build_design, fit_methods
+        from esvm.samplers import AcceptanceStats
+
+        ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
+        cfg = _mini_config(target=esvm.logistic_target(ds), dataset=ds, regression_kind="logistic",
+                           functional=FunctionalSpec("test_likelihood"),
+                           family=esvm.SteinFamily("first_order", 5), n_train=400, n_test=400,
+                           b_n_train=5)
+        far = esvm.Trajectory(1e4 * np.random.default_rng(8).standard_normal((400, 5)))
+        assert np.min(far.states @ ds.features_train.T) < -1e3
+        window = LagWindow(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = fit_methods(cfg, build_design(cfg, far, window))
+            (row,) = _score_batch(cfg, [(1, far, AcceptanceStats())], fits, window)
+        assert set(row["methods"]) == set(cfg.methods)
 
     def test_evaluation_with_parameters_samples_no_training_chain(self, mini_report):
         from esvm.harness import evaluate_with_parameters

@@ -14,7 +14,6 @@ from scipy.special import expit
 import esvm
 from esvm.targets import (
     _sigmoid,
-    _softplus,
     ar1_reference,
     banana_target,
     build_dataset,
@@ -171,8 +170,7 @@ def _assert_within_ulps(got, ref, max_ulps):
 
 
 class TestRowKernels:
-    """The logistic rows' sigmoid and softplus against scipy's and numpy's
-    reference functions."""
+    """The logistic rows' sigmoid against scipy's reference function."""
 
     @staticmethod
     def _inputs():
@@ -188,15 +186,6 @@ class TestRowKernels:
             assert _sigmoid(buf, out=buf) is buf
         assert np.array_equal(buf, got, equal_nan=True)
         _assert_within_ulps(got, expit(t), 4)
-
-    def test_softplus_matches_logaddexp(self):
-        t = self._inputs()
-        with np.errstate(invalid="ignore"):  # logaddexp warns at t = inf
-            ref = np.logaddexp(0.0, t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _softplus(t)
-        _assert_within_ulps(got, ref, 4)
 
 
 class TestRegressionTargets:
