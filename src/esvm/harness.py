@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy
-from scipy.special import ndtr
 
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
@@ -89,6 +88,8 @@ def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
         raise ConfigError("test_likelihood functional needs a dataset and a regression kind")
     signs = 2.0 * dataset.labels_test - 1.0
     feats = dataset.features_test
+    if regression_kind == "probit":
+        from scipy.special import ndtr
 
     def average_test_likelihood(states):
         t = np.asarray(states) @ feats.T

@@ -91,7 +91,7 @@ def stein_values(family: SteinFamily, theta, states, grads) -> np.ndarray:
         d = family.dim
         b = theta[:d]
         a_mat = theta[d:].reshape(d, d)
-        quad = np.einsum("ni,ij,nj->n", grads, a_mat, states)
+        quad = np.einsum("ni,ni->n", grads @ a_mat, states)
         return -(grads @ b) - quad + np.trace(a_mat)
     r = family.n_centers
     _, _, _, resp = _rbf_parts(states[:, 0], grads[:, 0], theta[r:])

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit, log_ndtr
 
 from .chains import ROLE_NORMAL, SeedKey, Trajectory, TrajectoryMeta
 
@@ -62,8 +61,10 @@ def _make_target(dim, shared, value, grad, label, exact_moments=None) -> TargetM
 def gmm_target(rho: float, mu, sigma) -> TargetModel:
     """Two-component Gaussian mixture rho * N(mu, S) + (1 - rho) * N(-mu, S).
 
-    The potential drops the shared normalizer; gradients weight the component
-    pulls by responsibilities computed through a stable two-term log-sum-exp.
+    The potential drops the shared normalizer. Both components share S, so
+    with s = mu' S^-1 x the potential and gradient have a closed form:
+    U = x' S^-1 x / 2 + mu' S^-1 mu / 2 - log(rho e^s + (1 - rho) e^-s) and
+    grad U = S^-1 x - tanh(s + logit(rho) / 2) S^-1 mu.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -77,25 +78,29 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
     if not 0.0 <= rho <= 1.0:
         raise ValueError("mixture weight must lie in [0, 1]")
     sinv = np.linalg.inv(sigma)
+    sinv_mu = sinv @ mu
+    # x @ [S^-1 | S^-1 mu] gives S^-1 x and s in one product. einsum's own
+    # loop computes each row alike whatever the row count; a BLAS product
+    # picks its kernel by row count, so a lone chain would not reproduce
+    # the same chain in a batch.
+    proj = np.column_stack([sinv, sinv_mu])
+    half_mu_quad = 0.5 * float(mu @ sinv_mu)
     with np.errstate(divide="ignore"):
         log_w1, log_w2 = np.log(rho), np.log(1.0 - rho)
+    half_logit = 0.5 * (log_w1 - log_w2)
 
     def shared(x):
         x = np.asarray(x, dtype=np.float64)
-        m1 = x - mu
-        m2 = x + mu
-        g1 = m1 @ sinv
-        g2 = m2 @ sinv
-        a1 = log_w1 - 0.5 * np.add.reduce(m1 * g1, axis=-1)
-        a2 = log_w2 - 0.5 * np.add.reduce(m2 * g2, axis=-1)
-        return g1, g2, a1, a2
+        return x, np.einsum("...i,ij->...j", x, proj)
 
-    def value(g1, g2, a1, a2):
-        return -np.logaddexp(a1, a2)
+    def value(x, xp):
+        s = xp[..., d]
+        quad = np.add.reduce(x * xp[..., :d], axis=-1)
+        return 0.5 * quad + half_mu_quad - np.logaddexp(log_w1 + s, log_w2 - s)
 
-    def grad(g1, g2, a1, a2):
-        w1 = expit(a1 - a2)
-        return w1[..., None] * g1 + (1.0 - w1)[..., None] * g2
+    def grad(x, xp):
+        pull = np.tanh(xp[..., d] + half_logit)
+        return xp[..., :d] - pull[..., None] * sinv_mu
 
     moments = {}
     for i in range(d):
@@ -108,6 +113,10 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
                         mu2: float, sigma2: float) -> TargetModel:
     """One-dimensional mixture rho * N(mu1, s1^2) + (1 - rho) * N(-mu2, s2^2)
     with per-component scales, stable far into either tail."""
+    # scipy.special is imported where it is used, here and in the probit
+    # target: at module level it would double the time `import esvm` takes.
+    from scipy.special import expit
+
     if sigma1 <= 0 or sigma2 <= 0:
         raise ValueError("component scales must be positive")
     if not 0.0 <= rho <= 1.0:
@@ -284,7 +293,7 @@ def synthetic_logistic_dataset(n_rows: int = 500, n_features: int = 8,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((n_rows, n_features))
     coeff = rng.standard_normal(n_features)
-    probs = expit(x @ coeff)
+    probs = _sigmoid(x @ coeff)
     y = (rng.random(n_rows) < probs).astype(np.float64)
     return build_dataset(x, y, k_test, seed, label="synthetic-logistic",
                          generating_coefficients=coeff)
@@ -292,12 +301,14 @@ def synthetic_logistic_dataset(n_rows: int = 500, n_features: int = 8,
 
 # The logistic gradient's sigmoid goes through numpy's `exp`, which runs
 # vectorized (about 1 ns per element where SIMD is available), not
-# `scipy.special.expit` (about 11 ns). It writes in place, because allocating
-# a fresh (chains, rows) array costs as much as the arithmetic. It is private
-# so that tracing, which wraps this module's public functions, does not put a
-# span on every sampler step. It opens no `np.errstate`: that costs as much as
-# the whole sigmoid on one chain's rows. The samplers and the harness call the
-# targets under one that ignores overflow.
+# `scipy.special.expit` (about 11 ns). The synthetic dataset draws its labels
+# through it too, which keeps scipy.special off the import path. It writes in
+# place, because allocating a fresh (chains, rows) array costs as much as the
+# arithmetic. It is private so that tracing, which wraps this module's public
+# functions, does not put a span on every sampler step. It opens no
+# `np.errstate`: that costs as much as the whole sigmoid on one chain's rows.
+# The samplers and the harness call the targets under one that ignores
+# overflow.
 
 
 def _sigmoid(t, out=None):
@@ -336,6 +347,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
             return s @ feats + inv_g * x
 
     elif kind == "probit":
+        from scipy.special import log_ndtr
 
         def shared(x):
             x = np.asarray(x, dtype=np.float64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 
 def trapezoid_kernel(u):
@@ -82,6 +82,21 @@ def sample_autocovariance(series: np.ndarray, s: int) -> float:
     return float(c[:-s] @ c[s:]) / n
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast; the
+    same as `scipy.fft.next_fast_len(n, real=True)`."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
     """Sample autocovariances at lags 0 .. n_lags - 1 of each series along the
     last axis, as `sample_autocovariance` defines them (divisor n, full-sample
@@ -95,7 +110,7 @@ def autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
     n = series.shape[-1]
     if not 1 <= n_lags <= n:
         raise ValueError(f"lag count {n_lags} outside [1, {n}]")
-    size = next_fast_len(n + n_lags, real=True)
+    size = _next_fast_len(n + n_lags)
     spectrum = rfft(series - series.mean(axis=-1, keepdims=True), size, axis=-1)
     power = spectrum.real * spectrum.real
     power += spectrum.imag * spectrum.imag
@@ -121,7 +136,7 @@ def _apply_window(c: np.ndarray, window: LagWindow) -> np.ndarray:
     n = c.shape[-1]
     start = window.b_n - 1
     if band.size > 64:
-        size = next_fast_len(n + band.size - 1, real=True)
+        size = _next_fast_len(n + band.size - 1)
         full = irfft(rfft(c, size, axis=-1) * rfft(band, size), size, axis=-1)
         return full[..., start : start + n]
     out = np.empty_like(c)

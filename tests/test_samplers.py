@@ -33,9 +33,22 @@ from esvm.targets import (
 
 KERNELS = [("ula", 0.1), ("mala", 1.0), ("rwm", 0.5)]
 
+
+def _gmm_with_covariance(d, seed):
+    """A mixture whose covariance is a seeded SPD matrix with eigenvalues
+    >= 1, so ULA at the kernels' steps stays stable; with S != I the rows'
+    products round, and a lone chain reproduces its batch only if every row
+    is computed alike whatever the row count."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((d, d))
+    return gmm_target(0.35, 0.5 * rng.standard_normal(d), m @ m.T / d + np.eye(d))
+
+
 # Target and start point; the banana chains start on the ridge, x0 = (sqrt(p), 0).
 LOCK_STEP_TARGETS = {
     "gmm": (gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)), None),
+    "gmm_cov2": (_gmm_with_covariance(2, 91), None),
+    "gmm_cov5": (_gmm_with_covariance(5, 92), None),
     "banana": (banana_target(100.0, 0.1, 2), (10.0, 0.0)),
 }
 
@@ -359,7 +372,7 @@ class TestSampleChain:
             assert traj.states.shape == (20_000, 2)
             assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
 
-    @pytest.mark.parametrize("name", ["banana", "gmm", "gmm_isolated"])
+    @pytest.mark.parametrize("name", ["banana", "gmm", "gmm_cov5", "gmm_isolated"])
     @pytest.mark.parametrize("kind, gamma", KERNELS)
     @pytest.mark.parametrize("n_burn", [0, 250])
     def test_ragged_batch_equals_sequential(self, name, kind, gamma, n_burn):

@@ -98,6 +98,52 @@ class TestGmmTarget:
             assert u_batch[i] == pytest.approx(u, rel=1e-14)
             np.testing.assert_allclose(g_batch[i], g, rtol=1e-14)
 
+    @staticmethod
+    def _component_reference(rho, mu, sigma, x):
+        """The mixture as two component quadratics joined by a log-sum-exp,
+        with expit responsibilities; also the largest finite |log weight|
+        of a component, the scale to which this form rounds."""
+        sinv = np.linalg.inv(sigma)
+        with np.errstate(divide="ignore"):
+            log_w1, log_w2 = np.log(rho), np.log(1.0 - rho)
+        m1, m2 = x - mu, x + mu
+        g1, g2 = m1 @ sinv, m2 @ sinv
+        a1 = log_w1 - 0.5 * np.add.reduce(m1 * g1, axis=-1)
+        a2 = log_w2 - 0.5 * np.add.reduce(m2 * g2, axis=-1)
+        w1 = expit(a1 - a2)
+        grad = w1[..., None] * g1 + (1.0 - w1)[..., None] * g2
+        scale = np.maximum(np.where(np.isfinite(a1), np.abs(a1), 0.0),
+                           np.where(np.isfinite(a2), np.abs(a2), 0.0))
+        return -np.logaddexp(a1, a2), grad, scale
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("spd", [False, True])
+    def test_closed_form_matches_component_reference(self, d, spd):
+        # Both forms round at the size of the component log weights a_k, not
+        # at the size of U: where U is near 0 the closed form cancels terms
+        # of that size, and far out the reference's a1 - a2 does. So U is
+        # compared relative to max|a_k| and the gradient to within 4 ULP of
+        # |S^-1 x| + |S^-1 mu| (1 + max|a_k|).
+        rng = np.random.default_rng(40 + d)
+        m = rng.standard_normal((d, d))
+        sigma = m @ m.T + 0.3 * np.eye(d) if spd else np.eye(d)
+        mu = rng.standard_normal(d)
+        sinv = np.linalg.inv(sigma)
+        x = 2.0 * rng.standard_normal((200, d))
+        tail = 1e3 * x / np.linalg.norm(x, axis=1, keepdims=True)
+        eps = np.finfo(np.float64).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rho = 0 or 1 gives log w = -inf
+            for rho in (0.0, 0.35, 0.5, 1.0):
+                t = gmm_target(rho, mu, sigma)
+                for pts in (x, tail):
+                    u, g = t.value_and_grad(pts)
+                    u_ref, g_ref, scale = self._component_reference(rho, mu, sigma, pts)
+                    assert np.all(np.abs(u - u_ref) <= 1e-12 * np.maximum(np.abs(u_ref), scale))
+                    g_scale = (np.abs(pts @ sinv).max(axis=-1)
+                               + np.abs(sinv @ mu).max() * (1.0 + scale))
+                    assert np.all(np.abs(g - g_ref).max(axis=-1) <= 4 * eps * g_scale)
+
     def test_no_overflow_on_large_ball(self):
         t = gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2))
         rng = np.random.default_rng(12)
@@ -289,8 +335,8 @@ class TestDatasetStandardization:
         assert ds.dim == 2
 
     def test_synthetic_labels_are_pinned(self):
-        # The labels compare uniforms with expit(x @ coeff), so a sigmoid that
-        # differs from scipy's in one bit could flip one and move every
+        # The labels compare uniforms with the sigmoid of x @ coeff, so a
+        # sigmoid that differs in one bit could flip one and move every
         # logistic figure. Features pass through eigh and a BLAS product, so
         # their bits may differ between machines; labels may not. The hex
         # strings are np.packbits of the labels: bit i is label i.
@@ -341,44 +387,62 @@ _UNUSED_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.opti
                  "scipy.linalg", "scipy.sparse", "scipy.ndimage", "scipy.integrate",
                  "scipy.spatial")
 
+# Imports esvm, builds and calls the mixture, banana and logistic targets and
+# the logistic functional, and runs a mixture experiment whose training window
+# is wide enough to go through the FFT; then builds the target named by the
+# first argument, then runs `ar1_reference`. After each step it prints the
+# scipy modules loaded so far.
 _IMPORT_PROBE = """
 import sys
 import numpy as np
 import esvm, esvm.cli, esvm.config
 from esvm import targets
+
+def loaded():
+    print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+
 x = np.zeros((3, 2))
 for t in (targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
-          targets.gmm_isolated_target(0.4, -3.0, 1.0, 4.0, 0.5),
           targets.banana_target(100.0, 0.1, 2)):
-    t.value_and_grad(x[:, :t.dim])
+    t.value_and_grad(x)
 ds = targets.synthetic_logistic_dataset(60, 3, k_test=10, seed=1)
-for t in (targets.logistic_target(ds), targets.probit_target(ds)):
-    t.value_and_grad(np.zeros((3, t.dim)))
+targets.logistic_target(ds).value_and_grad(np.zeros((3, 3)))
+esvm.make_functional(esvm.FunctionalSpec("test_likelihood"), ds, "logistic")(np.zeros((3, 3)))
 cfg = esvm.ExperimentConfig(
     name="probe", target=targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
     functional=esvm.FunctionalSpec("coordinate", 0), family=esvm.SteinFamily("second_order", 2),
-    sampler_kind="mala", gamma=0.5, n_burn=50, n_train=300, n_test=200, n_test_chains=2)
+    sampler_kind="mala", gamma=0.5, n_burn=50, n_train=300, n_test=200, n_test_chains=2,
+    b_n_train=40)
 esvm.run_experiment(cfg)
-print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+loaded()
+if sys.argv[1] == "gmm_isolated":
+    targets.gmm_isolated_target(0.4, -3.0, 1.0, 4.0, 0.5).value_and_grad(x[:, :1])
+else:
+    targets.probit_target(ds).value_and_grad(np.zeros((3, 3)))
+loaded()
 targets.ar1_reference(0.5, 10, 0)
-print(" ".join(m for m in sys.modules if m.startswith("scipy.")))
+loaded()
 """
 
 
 def test_import_and_run_load_no_unused_scipy_subpackage():
-    # A fresh interpreter, since the suite's own process has imported more,
-    # finding the same esvm as this one.
+    # A fresh interpreter per special target, since the suite's own process
+    # has imported more, finding the same esvm as this one.
     src = str(Path(esvm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
-                         text=True, check=True, env=env).stdout.splitlines()
-    after_run, after_ar1 = (set(line.split()) for line in out)
 
     def loaded(modules, package):
         return any(m == package or m.startswith(package + ".") for m in modules)
 
-    assert [p for p in _UNUSED_SCIPY if loaded(after_run, p)] == []
-    assert loaded(after_run, "scipy.special") and loaded(after_run, "scipy.fft")
-    # the probe can see a lazy import when one happens
-    assert loaded(after_ar1, "scipy.signal")
+    for special_target in ("gmm_isolated", "probit"):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, special_target],
+                             capture_output=True, text=True, check=True,
+                             env=env).stdout.splitlines()
+        after_run, after_special, after_ar1 = (set(line.split()) for line in out)
+        unused = ("scipy.special", "scipy.fft") + _UNUSED_SCIPY
+        assert [p for p in unused if loaded(after_run, p)] == []
+        assert loaded(after_special, "scipy.special")
+        assert [p for p in _UNUSED_SCIPY if loaded(after_special, p)] == []
+        # the probe can see a lazy import when one happens
+        assert loaded(after_ar1, "scipy.signal")

@@ -7,6 +7,7 @@ import pytest
 
 from esvm.variance import (
     LagWindow,
+    _next_fast_len,
     autocovariances,
     default_truncation,
     empirical_variance,
@@ -91,6 +92,14 @@ class TestSampleAutocovariance:
         assert sample_autocovariance(s, 0) == pytest.approx(
             (n - 1) / n * empirical_variance(s), rel=1e-12
         )
+
+
+def test_next_fast_len_matches_scipy():
+    # the transform lengths, and with them the bits, of scipy's choice
+    from scipy.fft import next_fast_len
+
+    ns = range(1, 2**17 + 1)
+    assert [_next_fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
 
 
 class TestSpectralVariance:
