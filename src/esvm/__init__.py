@@ -41,11 +41,8 @@ from .harness import (
 from .samplers import (
     AcceptanceStats,
     SamplerConfig,
-    mala_step,
-    rwm_step,
     sample_chain,
     sample_chains,
-    ula_step,
 )
 from .stein import (
     SteinFamily,

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
@@ -489,6 +488,10 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
         "mean_test_rate": float(np.mean([r["accept_rate"] for r in rows])),
         "test_nonfinite_log_alpha": int(sum(r["nonfinite_log_alpha"] for r in rows)),
     }
+    # Imported here, not at start-up: the top-level package alone takes
+    # about 14 ms to import, and only its version number is recorded.
+    import scipy
+
     return VRFReport(
         schema_version=SCHEMA_VERSION,
         config=config.describe(),

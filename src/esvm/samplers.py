@@ -30,6 +30,9 @@ SAMPLER_KINDS = ("ula", "mala", "rwm")
 
 # Steps per noise block; also the stride of the ULA finiteness check.
 NOISE_BLOCK = 1024
+# Steps per pass of MALA's fold of |noise|^2 / (4 gamma) into log u; a
+# buffer for a whole block would hold about 0.8 MiB at 101 chains.
+FOLD_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -60,62 +63,6 @@ class AcceptanceStats:
     @property
     def rate(self) -> float:
         return self.accepted / self.proposed if self.proposed else 1.0
-
-
-def ula_step(x: np.ndarray, grad_u, gamma: float, noise: np.ndarray) -> np.ndarray:
-    """One unadjusted Langevin move: x - gamma * grad U(x) + sqrt(2 gamma) * z."""
-    x = np.asarray(x, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != x.shape:
-        raise ValueError("noise must match state dimension")
-    g = np.asarray(grad_u(x), dtype=np.float64)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient in Langevin step")
-    return x - gamma * g + np.sqrt(2.0 * gamma) * noise
-
-
-def mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma: float):
-    """Log Metropolis ratio for the Langevin proposal, vectorized over
-    leading axes. The Gaussian proposal normalizers cancel."""
-    fwd = np.add.reduce((y - x + gamma * g_x) ** 2, axis=-1)
-    bwd = np.add.reduce((x - y + gamma * g_y) ** 2, axis=-1)
-    return u_x - u_y + (fwd - bwd) / (4.0 * gamma)
-
-
-def rwm_log_acceptance(u_x, u_y):
-    """Log Metropolis ratio for a symmetric proposal: U(x) - U(y)."""
-    return u_x - u_y
-
-
-def mala_step(x: np.ndarray, target, gamma: float, rng: np.random.Generator):
-    """One MALA transition. Returns (next state, accepted). Draws d normals
-    then one uniform, whether or not the proposal is accepted."""
-    x = np.asarray(x, dtype=np.float64)
-    z = rng.standard_normal(x.size)
-    u_x, g_x = target.value_and_grad(x)
-    y = x - gamma * g_x + np.sqrt(2.0 * gamma) * z
-    u_y, g_y = target.value_and_grad(y)
-    log_alpha = mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma)
-    u = rng.random()
-    if not np.isfinite(log_alpha):
-        return x.copy(), False
-    with np.errstate(divide="ignore"):
-        accepted = np.log(u) < log_alpha
-    return (y, True) if accepted else (x.copy(), False)
-
-
-def rwm_step(x: np.ndarray, target, gamma: float, rng: np.random.Generator):
-    """One random-walk Metropolis transition: y = x + sqrt(gamma) * z."""
-    x = np.asarray(x, dtype=np.float64)
-    z = rng.standard_normal(x.size)
-    y = x + np.sqrt(gamma) * z
-    log_alpha = rwm_log_acceptance(target.potential(x), target.potential(y))
-    u = rng.random()
-    if not np.isfinite(log_alpha):
-        return x.copy(), False
-    with np.errstate(divide="ignore"):
-        accepted = np.log(u) < log_alpha
-    return (y, True) if accepted else (x.copy(), False)
 
 
 def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, steps: Sequence[int],
@@ -159,6 +106,66 @@ def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, steps: Seque
         yield start, noise, log_u
 
 
+_INF = float("inf")
+
+
+def _lone_mala(target, gamma, x, slots, log_us, u_x, drift, spare, tmp, bwd):
+    """MALA steps of the one chain left in a segment: `slots` are its (1, d)
+    noise slots, `log_us` its folded log-uniforms as Python floats, `u_x` the
+    current potential as a float and `drift` the current x - gamma grad U(x).
+    Returns the last state, its potential, the buffer that then holds the
+    current drift (`drift` or `spare`), and the per-step finite-ratio and
+    accept flags.
+
+    The ratio is formed and compared in Python floats, in the batched loop's
+    order of operations. Python's + - * / on floats round as numpy's
+    elementwise ufuncs do, so the chain decides as it would in a batch."""
+    four_gamma = 4.0 * gamma
+    finite, taken = [], []
+    for nxt, lu in zip(slots, log_us):
+        nxt += drift
+        prop_u, prop_g = target.value_and_grad(nxt)
+        np.multiply(prop_g, gamma, out=tmp)
+        np.subtract(nxt, tmp, out=spare)
+        np.subtract(x, spare, out=tmp)
+        tmp *= tmp
+        np.add.reduce(tmp, axis=-1, out=bwd)
+        u_y = float(prop_u[0])
+        log_alpha = (u_x - u_y) - float(bwd[0]) / four_gamma
+        ok = -_INF < log_alpha < _INF
+        acc = ok and lu < log_alpha
+        if acc:
+            u_x = u_y
+            drift, spare = spare, drift
+        else:
+            nxt[...] = x
+        finite.append(ok)
+        taken.append(acc)
+        x = nxt
+    return x, u_x, drift, finite, taken
+
+
+def _lone_rwm(target, x, slots, log_us, u_x):
+    """Random-walk steps of the one chain left in a segment, decided in
+    Python floats as `_lone_mala` decides. Returns the last state, its
+    potential and the per-step finite-ratio and accept flags."""
+    finite, taken = [], []
+    for nxt, lu in zip(slots, log_us):
+        nxt += x
+        u_y = float(target.potential(nxt)[0])
+        log_alpha = u_x - u_y
+        ok = -_INF < log_alpha < _INF
+        acc = ok and lu < log_alpha
+        if acc:
+            u_x = u_y
+        else:
+            nxt[...] = x
+        finite.append(ok)
+        taken.append(acc)
+        x = nxt
+    return x, u_x, finite, taken
+
+
 def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: int,
               x0: np.ndarray, keys: Sequence[SeedKey]):
     """Advance len(keys) chains in lock-step, chain i for lengths[i] states
@@ -173,8 +180,19 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     time-major noise block, so every per-step slice is contiguous and the
     block's kept states are copied out per chain once it is done. Burn-in
     states are never stored, and memory beyond the kept states is flat in
-    the chain lengths.
+    the chain lengths. A Metropolis segment with one chain left runs through
+    `_lone_mala` or `_lone_rwm`, which make the same decisions in Python
+    floats at a fraction of the cost of numpy calls on one-row arrays.
+
+    MALA's log ratio is U(x) - U(y) + (|y - x + gamma g(x)|^2
+    - |x - y + gamma g(y)|^2) / (4 gamma) for gradients g. The first square
+    is the proposal's noise, |noise|^2, whatever the state, so it is folded
+    into log u once per noise block; the second is |x - drift(y)|^2 with
+    drift(y) = y - gamma g(y), which becomes the current drift on acceptance
+    and builds the next proposal.
     """
+    gamma = float(gamma)
+    four_gamma = 4.0 * gamma
     n_chains = len(keys)
     d = x0.shape[-1]
     steps = [n - 1 for n in lengths]
@@ -198,6 +216,7 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     if m == 0:
         return chains, accepted, nonfinite
 
+    size = min(NOISE_BLOCK, m)
     if kind == "ula":
         # Two buffers, so that the drift's subtraction does not write over
         # its own input: on one-element arrays (one chain, d = 1) numpy
@@ -205,17 +224,23 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
         buf = np.empty((n_chains, d))
         drift = np.empty((n_chains, d))
     else:
-        # The loop updates the current potential and gradient in place, so
-        # they are copied out of whatever the target returned.
+        # The loop updates the current potential (and MALA's drift) in
+        # place, so it is copied out of whatever the target returned.
         cur_u = np.empty(n_chains)
         if kind == "mala":
-            cur_g = np.empty((n_chains, d))
+            # current drift x - gamma grad U(x), the proposals' drift, scratch
+            drift = np.empty((n_chains, d))
+            prop_drift = np.empty((n_chains, d))
+            tmp = np.empty((n_chains, d))
+            bwd = np.empty(n_chains)
+            fwd_buf = np.empty((min(size, FOLD_STEPS), n_chains))
             u, g = target.value_and_grad(x)
-            cur_g[...] = g
+            np.multiply(g, gamma, out=tmp)
+            np.subtract(x, tmp, out=drift)
         else:
             u = target.potential(x)
         cur_u[...] = u
-        size = min(NOISE_BLOCK, m)
+        log_alpha = np.empty(n_chains)
         finite = np.empty((size, n_chains), dtype=bool)
         taken = np.empty((size, n_chains), dtype=bool)
     # Non-finite intermediates are an expected, handled condition here:
@@ -223,11 +248,19 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     # an error below. Keep the arithmetic quiet either way.
     with np.errstate(over="ignore", invalid="ignore"):
         for start, noise, log_u in _noise_blocks(kind, keys, gamma, steps, d):
+            if kind == "mala":
+                # log u - |noise|^2 / (4 gamma), FOLD_STEPS steps at a time
+                for t in range(0, len(noise), FOLD_STEPS):
+                    rows = noise[t : t + FOLD_STEPS]
+                    fwd = fwd_buf[: len(rows)]
+                    np.einsum("tcd,tcd->tc", rows, rows, out=fwd)
+                    fwd /= four_gamma
+                    log_u[t : t + len(rows)] -= fwd
             # Slot t holds the noise of step start + t until that step
             # overwrites it with state lo + t: the proposal is built in the
             # slot, and rejected rows are then reset to the current state.
             # The target may return views of the slot, so the current
-            # potential and gradient are updated before that reset.
+            # potential and drift are updated before that reset.
             lo, hi = start + 1, start + 1 + len(noise)
             # Segments of the block with a fixed number k of running chains:
             # the batch shrinks after each chain's last step.
@@ -251,34 +284,55 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
                             "(diverging chain?)"
                         )
                     continue
-                u_k, ok_k, acc_k = cur_u[:k], finite[j0:j1, :k], taken[j0:j1, :k]
-                rows = zip(noise[j0:j1, :k], log_u[j0:j1, :k], ok_k, acc_k)
-                if kind == "mala":
-                    g_k = cur_g[:k]
-                    for nxt, lu, ok, acc in rows:
-                        nxt += x - gamma * g_k
-                        prop_u, prop_g = target.value_and_grad(nxt)
-                        log_alpha = mala_log_acceptance(x, nxt, u_k, prop_u, g_k, prop_g, gamma)
-                        # A non-finite ratio (NaN compares false) is rejected.
-                        np.isfinite(log_alpha, out=ok)
-                        np.less(lu, log_alpha, out=acc)
-                        acc &= ok
-                        mask = acc[:, None]
-                        np.copyto(u_k, prop_u, where=acc)
-                        np.copyto(g_k, prop_g, where=mask)
-                        np.copyto(nxt, x, where=~mask)
-                        x = nxt
-                else:  # rwm
-                    for nxt, lu, ok, acc in rows:
-                        nxt += x
-                        prop_u = target.potential(nxt)
-                        log_alpha = rwm_log_acceptance(u_k, prop_u)
-                        np.isfinite(log_alpha, out=ok)
-                        np.less(lu, log_alpha, out=acc)
-                        acc &= ok
-                        np.copyto(u_k, prop_u, where=acc)
-                        np.copyto(nxt, x, where=~acc[:, None])
-                        x = nxt
+                ok_k, acc_k = finite[j0:j1, :k], taken[j0:j1, :k]
+                if k == 1:
+                    slots, log_us = noise[j0:j1, :1], log_u[j0:j1, 0].tolist()
+                    if kind == "mala":
+                        x, u_x, cur, ok_k[:, 0], acc_k[:, 0] = _lone_mala(
+                            target, gamma, x, slots, log_us, float(cur_u[0]),
+                            drift[:1], prop_drift[:1], tmp[:1], bwd[:1])
+                        drift[:1] = cur
+                    else:
+                        x, u_x, ok_k[:, 0], acc_k[:, 0] = _lone_rwm(
+                            target, x, slots, log_us, float(cur_u[0]))
+                    cur_u[0] = u_x
+                else:
+                    u_k, la_k = cur_u[:k], log_alpha[:k]
+                    rows = zip(noise[j0:j1, :k], log_u[j0:j1, :k], ok_k, acc_k)
+                    if kind == "mala":
+                        drift_k, spare_k = drift[:k], prop_drift[:k]
+                        tmp_k, bwd_k = tmp[:k], bwd[:k]
+                        for nxt, lu, ok, acc in rows:
+                            nxt += drift_k
+                            prop_u, prop_g = target.value_and_grad(nxt)
+                            np.multiply(prop_g, gamma, out=tmp_k)
+                            np.subtract(nxt, tmp_k, out=spare_k)
+                            np.subtract(x, spare_k, out=tmp_k)
+                            tmp_k *= tmp_k
+                            np.add.reduce(tmp_k, axis=-1, out=bwd_k)
+                            bwd_k /= four_gamma
+                            np.subtract(u_k, prop_u, out=la_k)
+                            la_k -= bwd_k
+                            # A non-finite ratio (NaN compares false) is rejected.
+                            np.isfinite(la_k, out=ok)
+                            np.less(lu, la_k, out=acc)
+                            acc &= ok
+                            mask = acc[:, None]
+                            np.copyto(u_k, prop_u, where=acc)
+                            np.copyto(drift_k, spare_k, where=mask)
+                            np.copyto(nxt, x, where=~mask)
+                            x = nxt
+                    else:  # rwm
+                        for nxt, lu, ok, acc in rows:
+                            nxt += x
+                            prop_u = target.potential(nxt)
+                            np.subtract(u_k, prop_u, out=la_k)
+                            np.isfinite(la_k, out=ok)
+                            np.less(lu, la_k, out=acc)
+                            acc &= ok
+                            np.copyto(u_k, prop_u, where=acc)
+                            np.copyto(nxt, x, where=~acc[:, None])
+                            x = nxt
                 nonfinite[:k] += (j1 - j0) - np.count_nonzero(ok_k, axis=0)
                 accepted[:k] += np.count_nonzero(acc_k, axis=0)
             for arr, (r0, r1, n) in zip(kept, runs):

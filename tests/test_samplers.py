@@ -9,18 +9,7 @@ import pytest
 
 from esvm.chains import ROLE_NORMAL, ROLE_UNIFORM, SeedKey
 from esvm.errors import NumericError
-from esvm.samplers import (
-    NOISE_BLOCK,
-    AcceptanceStats,
-    SamplerConfig,
-    mala_log_acceptance,
-    mala_step,
-    rwm_log_acceptance,
-    rwm_step,
-    sample_chain,
-    sample_chains,
-    ula_step,
-)
+from esvm.samplers import NOISE_BLOCK, AcceptanceStats, SamplerConfig, sample_chain, sample_chains
 from esvm.targets import (
     TargetModel,
     banana_target,
@@ -97,6 +86,34 @@ def _box_gaussian(d, half_width, outside=np.inf, gradient_is_input=False):
     )
 
 
+def _flat(d):
+    """U = 0 and grad U = 0 everywhere: every Metropolis ratio is one."""
+    return TargetModel(
+        dim=d,
+        potential=lambda x: np.zeros(np.shape(x)[:-1]),
+        gradient=lambda x: np.zeros(np.shape(x)),
+        value_and_grad=lambda x: (np.zeros(np.shape(x)[:-1]), np.zeros(np.shape(x))),
+        label=f"flat{d}",
+    )
+
+
+def mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma):
+    """Log Metropolis ratio for the Langevin proposal, vectorized over
+    leading axes, in its textbook form: the oracle for the kernel, which
+    forms the same ratio from the proposal's noise and drift. The Gaussian
+    proposal normalizers cancel."""
+    fwd = np.add.reduce((y - x + gamma * g_x) ** 2, axis=-1)
+    bwd = np.add.reduce((x - y + gamma * g_y) ** 2, axis=-1)
+    return u_x - u_y + (fwd - bwd) / (4.0 * gamma)
+
+
+def _noise_and_log_u(key, gamma, kind, n, d):
+    """A chain's scaled proposal noise and log-uniforms for n steps."""
+    scale = np.sqrt(2.0 * gamma) if kind != "rwm" else np.sqrt(gamma)
+    noise = key.generator(ROLE_NORMAL).standard_normal((n, d)) * scale
+    return noise, np.log(key.generator(ROLE_UNIFORM).random(n))
+
+
 def _replay(kind, target, gamma, n_steps, x0, key):
     """One chain of a Metropolis kernel, step by step from the chain's own
     normal and uniform substreams: the reference the lock-step kernel must
@@ -120,7 +137,7 @@ def _replay(kind, target, gamma, n_steps, x0, key):
         else:
             y = x + z
             u_y = target.potential(y)
-            log_alpha = rwm_log_acceptance(u_x, u_y)
+            log_alpha = u_x - u_y
         log_u = np.log(uniforms.random())
         if not np.isfinite(log_alpha):
             stats.nonfinite_log_alpha += 1
@@ -135,16 +152,24 @@ def _replay(kind, target, gamma, n_steps, x0, key):
 
 class TestUlaStep:
     def test_pure_diffusion(self):
-        out = ula_step(np.zeros(2), lambda x: np.zeros(2), 0.5, np.ones(2))
-        np.testing.assert_allclose(out, [1.0, 1.0])
+        # with grad U = 0 each state is the last plus the scaled noise
+        cfg = SamplerConfig("ula", 0.5, 300, SeedKey(12, 0))
+        traj, _ = sample_chain(cfg, _flat(2))
+        noise, _ = _noise_and_log_u(cfg.seed, cfg.gamma, "ula", 299, 2)
+        np.testing.assert_array_equal(traj.states[1:], traj.states[:-1] + noise)
+        np.testing.assert_array_equal(traj.states[1:], np.cumsum(noise, axis=0))
 
     def test_deterministic_drift(self):
-        out = ula_step(np.array([2.0, 0.0]), lambda x: x, 0.1, np.zeros(2))
-        np.testing.assert_allclose(out, [1.8, 0.0])
+        # on U = |x|^2 / 2 the drift of x = (2, 0) is (1 - gamma) x = (1.8, 0)
+        cfg = SamplerConfig("ula", 0.1, 2, SeedKey(12, 1))
+        traj, _ = sample_chain(cfg, _standard_gaussian(2), np.array([2.0, 0.0]))
+        noise, _ = _noise_and_log_u(cfg.seed, cfg.gamma, "ula", 1, 2)
+        np.testing.assert_allclose(traj.states[1] - noise[0], [1.8, 0.0], rtol=0, atol=1e-15)
 
     def test_nonfinite_gradient_rejected(self):
+        target = replace(_standard_gaussian(1), gradient=lambda x: np.full(np.shape(x), np.inf))
         with pytest.raises(NumericError):
-            ula_step(np.zeros(1), lambda x: np.array([np.inf]), 0.1, np.zeros(1))
+            sample_chain(SamplerConfig("ula", 0.1, 10, SeedKey(12, 2)), target)
 
     def test_stationary_variance_matches_recursion(self):
         # the Gaussian-target recursion is x' = (1 - g) x + sqrt(2g) z with
@@ -155,26 +180,20 @@ class TestUlaStep:
         assert np.var(traj.states[:, 0]) == pytest.approx(2.0 / (2.0 - gamma), rel=0.02)
 
 
-class _ZeroNoiseRng:
-    """Generator stub: zero normals, fixed uniform."""
-
-    def standard_normal(self, size):
-        return np.zeros(size)
-
-    def random(self):
-        return 0.5
-
-
 class TestMalaStep:
     def test_stationary_point_zero_noise_accepts(self):
-        # at grad U = 0 with vanishing noise the proposal equals the state,
-        # the symmetric ratio is exactly one, and the move is accepted
-        target = _standard_gaussian(2)
-        x = np.zeros(2)
-        assert mala_log_acceptance(x, x, 0.0, 0.0, np.zeros(2), np.zeros(2), 0.5) == 0.0
-        state, accepted = mala_step(x, target, 0.5, _ZeroNoiseRng())
-        assert accepted
-        np.testing.assert_array_equal(state, x)
+        # at grad U = 0 from x = 0 the backward move is the forward one
+        # mirrored, the ratio is exactly one, and the move is accepted, by a
+        # lone chain and in a batch alike
+        target = _flat(1)
+        x = np.zeros(1)
+        assert mala_log_acceptance(x, x, 0.0, 0.0, np.zeros(1), np.zeros(1), 0.5) == 0.0
+        cfg = SamplerConfig("mala", 0.5, 2, SeedKey(20, 0))
+        for streams in ([0], list(range(50))):
+            for (traj, stats), stream in zip(sample_chains(cfg, target, streams, x), streams):
+                noise, _ = _noise_and_log_u(cfg.seed.with_stream(stream), 0.5, "mala", 1, 1)
+                assert stats == AcceptanceStats(1, 1, 0)
+                np.testing.assert_array_equal(traj.states[1], noise[0])
 
     def test_acceptance_rate_band_on_gaussian(self):
         target = _standard_gaussian(1)
@@ -182,55 +201,82 @@ class TestMalaStep:
         assert 0.4 < stats.rate < 0.9
 
     def test_log_space_matches_direct_ratio(self):
-        # whenever both are representable, exp(log alpha) equals the direct
-        # density ratio within 1e-12
+        # the kernel accepts exactly when the uniform falls below the density
+        # ratio formed directly, away from ties within 1e-12 of it; and the
+        # oracle's log ratio exponentiates to the direct ratio
         target = _standard_gaussian(2)
-        rng = np.random.default_rng(17)
         gamma = 0.3
-        for _ in range(200):
-            x = rng.standard_normal(2)
-            z = rng.standard_normal(2)
-            u_x, g_x = target.value_and_grad(x)
-            y = x - gamma * g_x + np.sqrt(2 * gamma) * z
-            u_y, g_y = target.value_and_grad(y)
-            log_alpha = mala_log_acceptance(x, y, u_x, u_y, g_x, g_y, gamma)
-            q_xy = np.exp(-np.sum((y - x + gamma * g_x) ** 2) / (4 * gamma))
-            q_yx = np.exp(-np.sum((x - y + gamma * g_y) ** 2) / (4 * gamma))
+        cfg = SamplerConfig("mala", gamma, 3_000, SeedKey(17, 0))
+        traj, stats = sample_chain(cfg, target)
+        _, log_u = _noise_and_log_u(cfg.seed, gamma, "mala", 2_999, 2)
+        x, y = traj.states[:-1], traj.states[1:]
+        moved = np.any(x != y, axis=1)
+        assert int(moved.sum()) == stats.accepted and 0 < stats.accepted < stats.proposed
+        checked = 0
+        for k in np.flatnonzero(moved)[:200]:
+            u_x, g_x = target.value_and_grad(x[k])
+            u_y, g_y = target.value_and_grad(y[k])
+            q_xy = np.exp(-np.sum((y[k] - x[k] + gamma * g_x) ** 2) / (4 * gamma))
+            q_yx = np.exp(-np.sum((x[k] - y[k] + gamma * g_y) ** 2) / (4 * gamma))
             direct = (np.exp(-u_y) * q_yx) / (np.exp(-u_x) * q_xy)
+            log_alpha = mala_log_acceptance(x[k], y[k], u_x, u_y, g_x, g_y, gamma)
             assert np.exp(log_alpha) == pytest.approx(direct, rel=1e-12)
+            if abs(np.exp(log_u[k]) - direct) > 1e-12 * direct:
+                assert np.exp(log_u[k]) < direct
+                checked += 1
+        assert checked > 100
 
     def test_returned_state_is_proposal_iff_accepted(self):
+        # each state is either the proposal built from the stream's noise or
+        # the previous state, and the proposals kept are the accepted ones
         target = gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2))
-        rng = np.random.default_rng(3)
-        x = np.array([0.3, -0.2])
-        for _ in range(50):
-            probe = np.random.default_rng(rng.integers(1 << 31))
-            state, accepted = mala_step(x, target, 0.8, probe)
-            if accepted:
-                assert not np.array_equal(state, x)
+        gamma = 0.8
+        cfg = SamplerConfig("mala", gamma, 400, SeedKey(3, 0))
+        traj, stats = sample_chain(cfg, target, np.array([0.3, -0.2]))
+        noise, _ = _noise_and_log_u(cfg.seed, gamma, "mala", 399, 2)
+        kept = 0
+        for k, (x, nxt) in enumerate(zip(traj.states[:-1], traj.states[1:])):
+            proposal = noise[k] + (x - gamma * target.gradient(x))
+            if np.array_equal(nxt, proposal):
+                kept += 1
             else:
-                np.testing.assert_array_equal(state, x)
+                np.testing.assert_array_equal(nxt, x)
+        assert kept == stats.accepted and 0 < kept < stats.proposed
 
 
 class TestRwmStep:
     def test_equal_potential_accepts(self):
-        class Flat:
-            dim = 1
-            def potential(self, x):
-                return 0.0
-        state, accepted = rwm_step(np.zeros(1), Flat(), 1.0, np.random.default_rng(0))
-        assert accepted
+        cfg = SamplerConfig("rwm", 1.0, 300, SeedKey(0, 0))
+        for streams in ([0], [0, 1, 2]):
+            for _, stats in sample_chains(cfg, _flat(1), streams):
+                assert stats.accepted == stats.proposed == 299
 
     def test_exact_half_ratio(self):
-        # U(y) = U(x) + log 2 gives acceptance probability exactly 1/2
-        from esvm.samplers import rwm_log_acceptance
+        # on [-1, 1], U is log 2 on x >= 0 and 0 below: a move up the step
+        # has ratio exactly 1/2 and is taken iff log u < -log 2, a move out
+        # of the interval has a non-finite ratio and is rejected, and every
+        # other move is taken; by a lone chain and in a batch alike
+        log2 = np.log(2.0)
 
-        log_alpha = rwm_log_acceptance(1.0, 1.0 + np.log(2.0))
-        assert np.exp(log_alpha) == pytest.approx(0.5, rel=1e-15)
-        rng = np.random.default_rng(11)
-        draws = rng.random(200_000)
-        accept = np.sum(np.log(draws) < log_alpha)
-        assert accept / draws.size == pytest.approx(0.5, abs=0.005)
+        def potential(x):
+            x = np.asarray(x)[..., 0]
+            return np.where(np.abs(x) > 1.0, np.inf, np.where(x < 0, 0.0, log2))
+
+        target = TargetModel(dim=1, potential=potential, gradient=None, value_and_grad=None)
+        cfg = SamplerConfig("rwm", 0.25, 20_000, SeedKey(11, 0))
+        for streams in ([0], [0, 1]):
+            runs = sample_chains(cfg, target, streams, [-0.5])
+            for (traj, stats), stream in zip(runs, streams):
+                noise, log_u = _noise_and_log_u(cfg.seed.with_stream(stream), 0.25, "rwm",
+                                                19_999, 1)
+                x, nxt = traj.states[:-1, 0], traj.states[1:, 0]
+                y = x + noise[:, 0]
+                out = np.abs(y) > 1.0
+                up = (x < 0) & (y >= 0) & ~out
+                np.testing.assert_array_equal(nxt != x, ~out & (~up | (log_u < -log2)))
+                assert np.mean(nxt[up] != x[up]) == pytest.approx(0.5, abs=0.03)
+                assert stats.accepted == int(np.sum(nxt != x))
+                assert stats.nonfinite_log_alpha == int(np.sum(out))
 
     def test_acceptance_counts_consistent(self):
         target = _standard_gaussian(2)
@@ -318,16 +364,17 @@ class TestSampleChain:
     @pytest.mark.parametrize("outside", [np.inf, -np.inf])
     def test_kernel_matches_step_by_step_replay(self, kind, gamma, outside):
         # the chains cross a noise-block boundary, reject proposals inside
-        # the box and proposals outside it (non-finite log ratio)
+        # the box and proposals outside it (non-finite log ratio); a lone chain goes through the one-chain loop
         target = _box_gaussian(2, 2.0, outside)
-        n_steps, x0, streams = NOISE_BLOCK + 300, np.array([0.5, -1.5]), [1, 2, 5]
+        n_steps, x0 = NOISE_BLOCK + 300, np.array([0.5, -1.5])
         cfg = SamplerConfig(kind, gamma, n_steps, SeedKey(61, 0))
-        for (traj, stats), stream in zip(sample_chains(cfg, target, streams, x0), streams):
-            states, ref_stats = _replay(kind, target, gamma, n_steps, x0, SeedKey(61, stream))
-            np.testing.assert_array_equal(traj.states, states)
-            assert stats == ref_stats
-            assert 0 < stats.nonfinite_log_alpha
-            assert 0 < stats.accepted < stats.proposed - stats.nonfinite_log_alpha
+        for streams in ([1, 2, 5], [1]):
+            for (traj, stats), stream in zip(sample_chains(cfg, target, streams, x0), streams):
+                states, ref_stats = _replay(kind, target, gamma, n_steps, x0, SeedKey(61, stream))
+                np.testing.assert_array_equal(traj.states, states)
+                assert stats == ref_stats
+                assert 0 < stats.nonfinite_log_alpha
+                assert 0 < stats.accepted < stats.proposed - stats.nonfinite_log_alpha
 
     def test_gradient_returning_its_input_gives_the_same_chain(self):
         # the kernel evaluates the target on a slot it overwrites afterwards

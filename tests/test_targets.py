@@ -425,12 +425,26 @@ loaded()
 """
 
 
-def test_import_and_run_load_no_unused_scipy_subpackage():
-    # A fresh interpreter per special target, since the suite's own process
-    # has imported more, finding the same esvm as this one.
+def _probe_env():
+    """Environment for a fresh interpreter that finds the same esvm as this
+    one; the suite's own process has imported more."""
     src = str(Path(esvm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_import_loads_no_scipy():
+    # scipy's version is read when a report is built, not at start-up
+    probe = ("import sys, esvm, esvm.cli, esvm.config\n"
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=_probe_env()).stdout
+    assert out.split() == []
+
+
+def test_import_and_run_load_no_unused_scipy_subpackage():
+    # A fresh interpreter per special target.
+    env = _probe_env()
 
     def loaded(modules, package):
         return any(m == package or m.startswith(package + ".") for m in modules)
