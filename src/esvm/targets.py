@@ -85,8 +85,6 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
     # the same chain in a batch.
     proj = np.column_stack([sinv, sinv_mu])
     half_mu_quad = 0.5 * float(mu @ sinv_mu)
-    # Python floats: a numpy scalar makes each scalar-array operation below
-    # cost about half as much again, for the same bits.
     with np.errstate(divide="ignore"):
         log_w1, log_w2 = float(np.log(rho)), float(np.log(1.0 - rho))
     half_logit = 0.5 * (log_w1 - log_w2)
