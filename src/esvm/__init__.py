@@ -52,7 +52,6 @@ from .stein import (
     rbf_quantile_centers,
     stein_value,
     stein_values,
-    zero_mean_check,
 )
 from .targets import (
     Dataset,

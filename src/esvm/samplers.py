@@ -109,13 +109,28 @@ def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, steps: Seque
 _INF = float("inf")
 
 
-def _lone_mala(target, gamma, x, slots, log_us, u_x, drift, spare, tmp, bwd):
-    """MALA steps of the one chain left in a segment: `slots` are its (1, d)
-    noise slots, `log_us` its folded log-uniforms as Python floats, `u_x` the
-    current potential as a float and `drift` the current x - gamma grad U(x).
-    Returns the last state, its potential, the buffer that then holds the
-    current drift (`drift` or `spare`), and the per-step finite-ratio and
-    accept flags.
+def _lone_ula(target, gamma, x, slots):
+    """ULA steps of the one chain left in a segment: `x` is its (d,) state and
+    `slots` its (d,) noise slots. Returns the last state.
+
+    Each new state, noise + (x - g gamma), is formed in Python floats in the
+    batched loop's order of operations, so it has the batched loop's bits."""
+    xs = x.tolist()
+    for nxt in slots:
+        g = target.gradient(x).tolist()
+        xs = [z + (xi - gi * gamma) for z, xi, gi in zip(nxt.tolist(), xs, g)]
+        nxt[:] = xs
+        x = nxt
+    return x
+
+
+def _lone_mala(target, gamma, x, slots, log_us, u_x, drift, spare, tmp):
+    """MALA steps of the one chain left in a segment: `x` is its (d,) state,
+    `slots` its (d,) noise slots, `log_us` its folded log-uniforms as Python
+    floats, `u_x` the current potential as a float and `drift` the current
+    x - gamma grad U(x). Returns the last state, its potential, the buffer
+    that then holds the current drift (`drift` or `spare`), and the per-step
+    finite-ratio and accept flags.
 
     The ratio is formed and compared in Python floats, in the batched loop's
     order of operations. Python's + - * / on floats round as numpy's
@@ -129,9 +144,8 @@ def _lone_mala(target, gamma, x, slots, log_us, u_x, drift, spare, tmp, bwd):
         np.subtract(nxt, tmp, out=spare)
         np.subtract(x, spare, out=tmp)
         tmp *= tmp
-        np.add.reduce(tmp, axis=-1, out=bwd)
-        u_y = float(prop_u[0])
-        log_alpha = (u_x - u_y) - float(bwd[0]) / four_gamma
+        u_y = float(prop_u)
+        log_alpha = (u_x - u_y) - float(np.add.reduce(tmp)) / four_gamma
         ok = -_INF < log_alpha < _INF
         acc = ok and lu < log_alpha
         if acc:
@@ -152,7 +166,7 @@ def _lone_rwm(target, x, slots, log_us, u_x):
     finite, taken = [], []
     for nxt, lu in zip(slots, log_us):
         nxt += x
-        u_y = float(target.potential(nxt)[0])
+        u_y = float(target.potential(nxt))
         log_alpha = u_x - u_y
         ok = -_INF < log_alpha < _INF
         acc = ok and lu < log_alpha
@@ -182,7 +196,10 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     states are never stored, and memory beyond the kept states is flat in
     the chain lengths. A Metropolis segment with one chain left runs through
     `_lone_mala` or `_lone_rwm`, which make the same decisions in Python
-    floats at a fraction of the cost of numpy calls on one-row arrays.
+    floats at a fraction of the cost of numpy calls on one-row arrays, and a
+    ULA segment with one chain left through `_lone_ula`. These hand the
+    target the chain's (d,) row, on which the elementwise targets compute in
+    NumPy scalars.
 
     MALA's log ratio is U(x) - U(y) + (|y - x + gamma g(x)|^2
     - |x - y + gamma g(y)|^2) / (4 gamma) for gradients g. The first square
@@ -218,10 +235,6 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
 
     size = min(NOISE_BLOCK, m)
     if kind == "ula":
-        # Two buffers, so that the drift's subtraction does not write over
-        # its own input: on one-element arrays (one chain, d = 1) numpy
-        # skips its fast path for a ufunc whose output overlaps an input.
-        buf = np.empty((n_chains, d))
         drift = np.empty((n_chains, d))
     else:
         # The loop updates the current potential (and MALA's drift) in
@@ -270,12 +283,15 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
                 k = sum(s >= lo + j0 for s in steps)
                 x = x[:k]
                 if kind == "ula":
-                    scaled, drift_k = buf[:k], drift[:k]
-                    for nxt in noise[j0:j1, :k]:
-                        np.multiply(target.gradient(x), gamma, out=scaled)
-                        np.subtract(x, scaled, out=drift_k)
-                        nxt += drift_k
-                        x = nxt
+                    if k == 1:
+                        x = _lone_ula(target, gamma, x[0], noise[j0:j1, 0])[None]
+                    else:
+                        drift_k = drift[:k]
+                        for nxt in noise[j0:j1, :k]:
+                            np.multiply(target.gradient(x), gamma, out=drift_k)
+                            np.subtract(x, drift_k, out=drift_k)
+                            nxt += drift_k
+                            x = nxt
                     # Non-finite values are sticky in this recursion, so one
                     # check per segment still pins down the first bad block.
                     if not np.all(np.isfinite(x)):
@@ -286,15 +302,16 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
                     continue
                 ok_k, acc_k = finite[j0:j1, :k], taken[j0:j1, :k]
                 if k == 1:
-                    slots, log_us = noise[j0:j1, :1], log_u[j0:j1, 0].tolist()
+                    slots, log_us = noise[j0:j1, 0], log_u[j0:j1, 0].tolist()
                     if kind == "mala":
                         x, u_x, cur, ok_k[:, 0], acc_k[:, 0] = _lone_mala(
-                            target, gamma, x, slots, log_us, float(cur_u[0]),
-                            drift[:1], prop_drift[:1], tmp[:1], bwd[:1])
-                        drift[:1] = cur
+                            target, gamma, x[0], slots, log_us, float(cur_u[0]),
+                            drift[0], prop_drift[0], tmp[0])
+                        drift[0] = cur
                     else:
                         x, u_x, ok_k[:, 0], acc_k[:, 0] = _lone_rwm(
-                            target, x, slots, log_us, float(cur_u[0]))
+                            target, x[0], slots, log_us, float(cur_u[0]))
+                    x = x[None]
                     cur_u[0] = u_x
                 else:
                     u_k, la_k = cur_u[:k], log_alpha[:k]

@@ -10,11 +10,9 @@ their parameters and expose a feature decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .variance import LagWindow, default_truncation, spectral_variance
 
 FAMILY_KINDS = ("first_order", "second_order", "rbf")
 
@@ -158,19 +156,3 @@ def rbf_quantile_centers(samples, n_centers: int) -> np.ndarray:
     probs = np.arange(1, n_centers + 1) / (n_centers + 1.0)
     return np.quantile(np.asarray(samples, dtype=np.float64).reshape(-1), probs)
 
-
-def zero_mean_check(family: SteinFamily, theta, target, sampler_config, n: int) -> float:
-    """Diagnostic z-score of the chain average of the control variate against
-    its spectral standard error; zero parameters give exactly zero."""
-    from .samplers import sample_chain
-
-    theta = _check_theta(family, theta)
-    if not np.any(theta):
-        return 0.0
-    config = replace(sampler_config, n_steps=n)
-    traj, _ = sample_chain(config, target)
-    grads = target.gradient(traj.states)
-    values = stein_values(family, theta, traj.states, grads)
-    sv = spectral_variance(values, LagWindow(default_truncation(n)))
-    se = np.sqrt(max(sv.value, 1e-300) / n)
-    return float(values.mean() / se)

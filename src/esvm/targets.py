@@ -2,7 +2,11 @@
 autoregressive reference chain with known long-run variance.
 
 Every potential and gradient is vectorized over leading axes: inputs of shape
-(d,) or (C, d) both work, which is what the lock-step chain driver relies on.
+(d,), (C, d) or (n, C, d) all work, which is what the lock-step chain driver
+relies on. The elementwise targets read a coordinate of one (d,) state as a
+NumPy scalar, x[i], and of a batch as a view of the column, x[..., i], so
+that a lone chain's state is computed in scalar arithmetic with the bits of
+its row in a batch.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Unnormalized density exp(-U) with analytic gradient of U."""
+    """Unnormalized density exp(-U) with analytic gradient of U.
+
+    `potential` maps states of shape (..., d) to U of shape (...),
+    `gradient` maps them to grad U of shape (..., d), and `value_and_grad`
+    returns both. A batch of chains is evaluated as (C, d); a chain left
+    alone in a sampler segment is evaluated as its (d,) state, whose
+    potential is 0-d. A row's result should not depend on the leading
+    shape, or a lone chain differs from the same stream in a batch.
+    """
 
     dim: int
     potential: Callable
@@ -91,15 +103,15 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
 
     def shared(x):
         x = np.asarray(x, dtype=np.float64)
-        return x, np.einsum("...i,ij->...j", x, proj)
+        xp = np.einsum("...i,ij->...j", x, proj)
+        return x, xp, (xp[d] if x.ndim == 1 else xp[..., d])
 
-    def value(x, xp):
-        s = xp[..., d]
+    def value(x, xp, s):
         quad = np.add.reduce(x * xp[..., :d], axis=-1)
         return 0.5 * quad + half_mu_quad - np.logaddexp(log_w1 + s, log_w2 - s)
 
-    def grad(x, xp):
-        pull = np.tanh(xp[..., d] + half_logit)
+    def grad(x, xp, s):
+        pull = np.tanh(s + half_logit)
         return xp[..., :d] - pull[..., None] * sinv_mu
 
     moments = {}
@@ -126,14 +138,15 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
     with np.errstate(divide="ignore"):
         log_w = np.array([np.log(rho), np.log(1.0 - rho)])
     log_norm = log_w - np.log(s)
+    (m1, m2), (s1, s2), (c1, c2) = m.tolist(), s.tolist(), log_norm.tolist()
 
     def shared(x):
         x = np.asarray(x, dtype=np.float64)
-        x1 = x[..., 0]
-        z1 = (x1 - m[0]) / s[0]
-        z2 = (x1 - m[1]) / s[1]
-        a1 = log_norm[0] - 0.5 * z1 * z1
-        a2 = log_norm[1] - 0.5 * z2 * z2
+        x1 = x[0] if x.ndim == 1 else x[..., 0]
+        z1 = (x1 - m1) / s1
+        z2 = (x1 - m2) / s2
+        a1 = c1 - 0.5 * z1 * z1
+        a2 = c2 - 0.5 * z2 * z2
         return z1, z2, a1, a2
 
     def value(z1, z2, a1, a2):
@@ -141,7 +154,7 @@ def gmm_isolated_target(rho: float, mu1: float, sigma1: float,
 
     def grad(z1, z2, a1, a2):
         w1 = expit(a1 - a2)
-        du = w1 * (z1 / s[0]) + (1.0 - w1) * (z2 / s[1])
+        du = w1 * (z1 / s1) + (1.0 - w1) * (z2 / s2)
         return du[..., None]
 
     w = np.exp(log_w)
@@ -160,16 +173,16 @@ def banana_target(p: float, b: float, d: int) -> TargetModel:
         raise ValueError("shape parameters must be positive")
     if d < 2:
         raise ValueError("needs at least two dimensions")
+    two_p, pb, four_b = 2.0 * p, p * b, 4.0 * b
 
     def shared(x):
         x = np.asarray(x, dtype=np.float64)
-        x1 = x[..., 0]
-        x2 = x[..., 1]
-        bend = x2 + b * x1 * x1 - p * b
+        x1, x2 = (x[0], x[1]) if x.ndim == 1 else (x[..., 0], x[..., 1])
+        bend = x2 + b * x1 * x1 - pb
         return x, x1, bend
 
     def value(x, x1, bend):
-        u = x1 * x1 / (2.0 * p) + bend * bend
+        u = x1 * x1 / two_p + bend * bend
         if d > 2:
             rest = x[..., 2:]
             u = u + 0.5 * np.add.reduce(rest * rest, axis=-1)
@@ -177,7 +190,7 @@ def banana_target(p: float, b: float, d: int) -> TargetModel:
 
     def grad(x, x1, bend):
         g = np.array(x, copy=True)
-        g[..., 0] = x1 / p + 4.0 * b * x1 * bend
+        g[..., 0] = x1 / p + four_b * x1 * bend
         g[..., 1] = 2.0 * bend
         return g
 

@@ -33,12 +33,13 @@ def _gmm_with_covariance(d, seed):
     return gmm_target(0.35, 0.5 * rng.standard_normal(d), m @ m.T / d + np.eye(d))
 
 
-# Target and start point; the banana chains start on the ridge, x0 = (sqrt(p), 0).
+# Target and start point; the banana chains start on the ridge, x1 = sqrt(p).
 LOCK_STEP_TARGETS = {
     "gmm": (gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)), None),
     "gmm_cov2": (_gmm_with_covariance(2, 91), None),
     "gmm_cov5": (_gmm_with_covariance(5, 92), None),
     "banana": (banana_target(100.0, 0.1, 2), (10.0, 0.0)),
+    "banana_d4": (banana_target(100.0, 0.1, 4), (10.0, 0.0, 0.0, 0.0)),
 }
 
 # Per-stream lengths of a ragged batch, in stream order 0, 1, ..: one chain

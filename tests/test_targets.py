@@ -67,6 +67,55 @@ def test_potential_and_gradient_match_value_and_grad_bit_for_bit(name):
             assert np.array_equal(t.gradient(x), g)
 
 
+def _gmm_cov5():
+    """A 5-D mixture with a seeded SPD covariance, so that S^-1 x rounds."""
+    rng = np.random.default_rng(92)
+    m = rng.standard_normal((5, 5))
+    return gmm_target(0.35, 0.5 * rng.standard_normal(5), m @ m.T / 5 + np.eye(5))
+
+
+_ROW_TARGETS = {**_TARGETS, "banana_d2": lambda: banana_target(100.0, 0.1, 2),
+                "gmm_cov5": _gmm_cov5}
+
+
+def _assert_rows_match(got, ref, exact):
+    assert np.shape(got) == np.shape(ref)
+    if exact:
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    else:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_TARGETS))
+def test_rows_do_not_depend_on_the_leading_shape(name):
+    # a lone chain hands the target its (d,) state, a batch its (C, d)
+    # states: a row evaluated alone, or inside an (n, C, d) stack, must give
+    # that row of the (C, d) call, at ordinary points and in the far tail;
+    # bit for bit, except the regression posteriors' rows, which go through
+    # BLAS and are compared within 1e-12
+    t = _ROW_TARGETS[name]()
+    exact = name not in ("logistic", "probit")
+    rng = np.random.default_rng(23)
+    batch = 2.0 * rng.standard_normal((25, t.dim))
+    tail = 1e3 * batch / np.linalg.norm(batch, axis=1, keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in (batch, tail):
+            u, g = t.value_and_grad(pts)
+            for i, x in enumerate(pts):
+                for got in (t.potential(x), t.value_and_grad(x)[0]):
+                    assert np.ndim(got) == 0
+                    _assert_rows_match(got, u[i], exact)
+                for got in (t.gradient(x), t.value_and_grad(x)[1]):
+                    _assert_rows_match(got, g[i], exact)
+            stack = np.stack([pts, pts[::-1], pts])
+            u3, g3 = t.value_and_grad(stack)
+            _assert_rows_match(u3, np.stack([u, u[::-1], u]), exact)
+            _assert_rows_match(g3, np.stack([g, g[::-1], g]), exact)
+            _assert_rows_match(t.potential(stack), u3, True)
+            _assert_rows_match(t.gradient(stack), g3, True)
+
+
 class TestGmmTarget:
     def test_symmetric_mixture_moments(self):
         t = gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2))
