@@ -3,13 +3,16 @@
 Subcommands: sample, fit, evaluate, run, acf, sweep-bn. Every command takes
 --config PATH plus optional --seed, --out and --threads overrides; when
 --threads is absent the ESVM_THREADS environment variable is consulted.
-Exit codes: 0 success, 2 configuration error, 3 numeric/pipeline failure.
+Exit codes: 0 success, 2 configuration error (the experiment document, or
+fit.json for evaluate; found before any chain is sampled), 3 numeric/pipeline
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,15 +110,35 @@ def _cmd_fit(args, config) -> int:
     return 0
 
 
+def _read_thetas(path: Path, n_params: int) -> dict:
+    """method -> theta from a fit.json document, each checked to be n_params
+    finite numbers, so that a bad document stops the command before any
+    chain is sampled."""
+    if not path.exists():
+        raise ConfigError(f"no fitted parameters at {path}; run `esvm fit` first")
+    try:
+        # integers are read as floats, so that every number is a float
+        doc = json.loads(path.read_text(), parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    methods = doc.get("methods") if isinstance(doc, dict) else None
+    if not isinstance(methods, dict):
+        raise ConfigError(f"{path} must be a JSON object with a 'methods' object")
+    thetas = {}
+    for method, entry in methods.items():
+        theta = entry.get("theta") if isinstance(entry, dict) else None
+        if not (isinstance(theta, list) and len(theta) == n_params
+                and all(isinstance(v, float) and math.isfinite(v) for v in theta)):
+            raise ConfigError(f"{path}: the theta of method {method!r} must be "
+                              f"{n_params} finite numbers")
+        thetas[method] = np.asarray(theta)
+    return thetas
+
+
 def _cmd_evaluate(args, config) -> int:
     out = _out_dir(args, config)
-    fit_path = out / "fit.json"
-    if not fit_path.exists():
-        raise ConfigError(f"no fitted parameters at {fit_path}; run `esvm fit` first")
-    doc = json.loads(fit_path.read_text())
-    thetas = {m: np.asarray(r["theta"], dtype=np.float64)
-              for m, r in doc.get("methods", {}).items()}
-    report = evaluate_with_parameters(config, thetas)
+    report = evaluate_with_parameters(config, _read_thetas(out / "fit.json",
+                                                           config.family.n_params))
     paths = emit_report(report, out)
     _print_summary(report)
     print(f"wrote {paths['report']}")

@@ -166,7 +166,7 @@ def default_ridge(normal_matrix: np.ndarray) -> float:
 
 
 def solve_linear(design: DesignSet, objective_kind: str = "esvm",
-                 ridge: Optional[float] = None, qn_options: Optional[dict] = None) -> FitResult:
+                 ridge: Optional[float] = None) -> FitResult:
     """Exact stationary point of the quadratic criterion for linear families.
 
     The window operator is not positive definite, so the stationary point is
@@ -210,8 +210,7 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
                 converged=True,
             )
     if result is None:
-        result = fit_quasi_newton(lambda t: objective(t, design), np.zeros(p),
-                                  **(qn_options or {}))
+        result = fit_quasi_newton(lambda t: objective(t, design), np.zeros(p))
     return _flag_negative(result)
 
 
@@ -306,7 +305,7 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
 
 
 def fit(design: DesignSet, family: SteinFamily, method: str = "esvm",
-        ridge: Optional[float] = None, qn_options: Optional[dict] = None) -> FitResult:
+        ridge: Optional[float] = None) -> FitResult:
     """Fit dispatch: exact solve (with quasi-Newton fallback) for linear
     families, quasi-Newton from zero amplitudes and quantile centers for the
     bump family. Either way a fit whose criterion ends below zero reads
@@ -316,10 +315,9 @@ def fit(design: DesignSet, family: SteinFamily, method: str = "esvm",
     if family.linear:
         if design.features is None:
             raise ValueError("linear family needs a feature design")
-        return solve_linear(design, method, ridge=ridge, qn_options=qn_options)
+        return solve_linear(design, method, ridge=ridge)
     if design.response is None:
         raise ValueError("bump family needs a response design")
     objective = OBJECTIVES[method]
     return _flag_negative(fit_quasi_newton(lambda t: objective(t, design),
-                                           design.response.initial_theta(),
-                                           **(qn_options or {})))
+                                           design.response.initial_theta()))

@@ -11,6 +11,16 @@ ratio (the variance reduction factor), and the ergodic averages. The training
 chain rides in the first batch's sampler call, which is made before the fit.
 Both methods are scored on the same test chains, never resampled.
 
+One private pipeline, `_experiment`, runs that protocol for every entry point:
+it samples the first batch (with the training chain when there is a fit to
+make), runs a fit stage on the one design built from the training chain or
+takes given fits, and scores every test chain. `run_experiment` fits each
+method and `evaluate_with_parameters` takes given parameters (no training
+chain is sampled); both then only aggregate the rows into a report.
+`bn_sweep` fits esvm at each training truncation of the one design and reads
+each row's mean VRF and infinite count from the per-fit summary a report's
+methods use.
+
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
 produce byte-identical vrf.csv files. Wall-clock data lives in a separate
@@ -32,7 +42,7 @@ import numpy as np
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
 from .fitting import DesignSet, FitResult, RbfResponse, fit
-from .samplers import NOISE_BLOCK, SamplerConfig, sample_chain, sample_chains
+from .samplers import NOISE_BLOCK, SamplerConfig, _check_x0, sample_chain, sample_chains
 from .stein import SteinFamily, feature_matrix, stein_values
 from .targets import Dataset, TargetModel, _sigmoid
 from .variance import LagWindow, autocovariances, default_truncation, spectral_variance
@@ -137,6 +147,20 @@ class ExperimentConfig:
             raise ConfigError("training truncation exceeds training sample size")
         if self.test_truncation > self.n_test:
             raise ConfigError("test truncation exceeds test sample size")
+        if min(self.batch_size, self.threads) < 1:
+            raise ConfigError("batch_size and threads must be at least 1")
+        if self.functional.kind != "test_likelihood" and self.functional.index >= self.target.dim:
+            raise ConfigError(f"functional index {self.functional.index} outside a "
+                              f"{self.target.dim}-dimensional state")
+        # The checks the sampler, the lag windows and the functional make
+        # where they are used, made here so that nothing is sampled first.
+        try:
+            _sampler(self, self.n_train)
+            LagWindow(self.train_truncation), LagWindow(self.test_truncation)
+            _check_x0(self.target, self.start_point())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        make_functional(self.functional, self.dataset, self.regression_kind)
 
     @property
     def train_truncation(self) -> int:
@@ -378,18 +402,17 @@ def _test_batches(config: ExperimentConfig) -> list:
     return [streams[i : i + size] for i in range(0, len(streams), size)]
 
 
-def _sample_batch(config: ExperimentConfig, streams, with_train: bool = False):
+def _sample_batch(config: ExperimentConfig, streams, with_train: bool = False) -> list:
     """Sample test chains `streams` (n_burn + n_test states each) in one
     lock-step call. With with_train, the training chain (stream 0, n_burn +
-    n_train states) rides in the same call. Returns the training (trajectory,
-    stats), or None, and one (stream, trajectory, stats) per test chain."""
+    n_train states) rides in the same call, first. Returns one (stream,
+    trajectory, stats) per chain."""
     sampler = _sampler(config, config.n_test)
     lead = [0] if with_train else []
     lengths = [config.n_burn + config.n_train] * len(lead) + [sampler.n_steps] * len(streams)
-    out = sample_chains(sampler, config.target, lead + list(streams), config.start_point(),
-                        n_steps=lengths)
-    train = out.pop(0) if with_train else None
-    return train, [(stream, chain, stats) for stream, (chain, stats) in zip(streams, out)]
+    streams = lead + list(streams)
+    out = sample_chains(sampler, config.target, streams, config.start_point(), n_steps=lengths)
+    return [(stream, chain, stats) for stream, (chain, stats) in zip(streams, out)]
 
 
 def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagWindow):
@@ -427,26 +450,51 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
     return rows
 
 
-def _evaluate_stage(config: ExperimentConfig, fits: dict, first: list, later: list) -> list:
-    """Score the already sampled first batch, then sample and score the
-    later batches (streams per batch), in a thread pool when threads > 1.
-    Empties `first`, so that its states are released before the later
-    batches are sampled."""
+def _experiment(config: ExperimentConfig, fit_stage=None, fits: Optional[dict] = None):
+    """The one sample-fit-score pipeline. Samples the first test batch, with
+    the training chain in the same call when there is a fit to make; then
+    either calls fit_stage on the design built from the training chain (at
+    the configuration's training truncation), which returns the fits, or
+    takes the given fits; then scores every test chain, sampling the later
+    batches in a thread pool when threads > 1. Returns (fits, rows ordered by
+    stream, training stats or None, stage timings)."""
+    timings: dict = {}
+    first_streams, *later = _test_batches(config)
+    with _Stage("train-sampling", timings):
+        first = _sample_batch(config, first_streams, with_train=fit_stage is not None)
+    train_stats = None
+    if fit_stage is not None:
+        _, train, train_stats = first.pop(0)
+        with _Stage("fit", timings):
+            fits = fit_stage(build_design(config, train, LagWindow(config.train_truncation)))
+        # The training states may be a view of the first batch's array; drop
+        # them so that the array is released once the first batch is scored.
+        del train
     window = LagWindow(config.test_truncation)
-    rows = _score_batch(config, first, fits, window)
-    first.clear()
 
     def evaluate(streams):
-        return _score_batch(config, _sample_batch(config, streams)[1], fits, window)
+        return _score_batch(config, _sample_batch(config, streams), fits, window)
 
-    if config.threads > 1 and len(later) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(evaluate, later))
-    else:
-        chunks = [evaluate(streams) for streams in later]
-    rows += [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: r["stream"])
-    return rows
+    with _Stage("test-evaluation", timings):
+        rows = _score_batch(config, first, fits, window)
+        del first  # released before the later batches are sampled
+        if config.threads > 1 and len(later) > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                chunks = list(pool.map(evaluate, later))
+        else:
+            chunks = [evaluate(streams) for streams in later]
+        rows += [row for chunk in chunks for row in chunk]
+        rows.sort(key=lambda r: r["stream"])
+    return fits, rows, train_stats, timings
+
+
+def _vrf_summary(rows: list, key) -> dict:
+    """Mean of the finite VRFs of one fit over the scored chains (None if
+    none is finite) and the number flagged infinite."""
+    entries = [r["methods"][key] for r in rows]
+    finite = [e["vrf"] for e in entries if not e["infinite"]]
+    return {"mean_vrf": float(np.mean(finite)) if finite else None,
+            "infinite_count": sum(e["infinite"] for e in entries)}
 
 
 def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) -> VRFReport:
@@ -463,9 +511,6 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
     for method in config.methods:
         result = fits[method]
         entries = [r["methods"][method] for r in rows]
-        ratios = [e["vrf"] for e in entries]
-        flags = [e["infinite"] for e in entries]
-        finite = [v for v, bad in zip(ratios, flags) if not bad]
         avgs = [e["average"] for e in entries]
         methods.append(MethodReport(
             method=method,
@@ -473,10 +518,9 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
             fit=result.to_dict(),
             v_plain=[r["v_plain"] for r in rows],
             v_adjusted=[e["v_adjusted"] for e in entries],
-            vrf=ratios,
-            infinite=flags,
-            mean_vrf=float(np.mean(finite)) if finite else None,
-            infinite_count=sum(flags),
+            vrf=[e["vrf"] for e in entries],
+            infinite=[e["infinite"] for e in entries],
+            **_vrf_summary(rows, method),
             averages=avgs,
             quartiles=_quartiles(avgs),
             centered_quartiles=_centered_quartiles(avgs, truth),
@@ -504,19 +548,21 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
     )
 
 
-def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig,
-                  n_first: int, with_train: bool) -> VRFReport:
-    """Record the stage wall and CPU timings once every stage, aggregation
-    included, has closed, and next to them the chain-steps each sampling
-    stage advanced (states per chain, burn-in included, summed over chains),
-    so that chain-steps per second can be read from the report. `train-sampling`
-    advanced the first batch of n_first test chains, and the training chain
-    when with_train; `test-evaluation` the later batches."""
+def _report(config: ExperimentConfig, fits: dict, rows: list, train_stats,
+            timings: dict) -> VRFReport:
+    """Aggregate a pipeline's output; then record the stage wall and CPU
+    timings, aggregation included, and the chain-steps (states per chain,
+    burn-in included, summed over chains) each sampling stage advanced:
+    `train-sampling` the first test batch and any training chain,
+    `test-evaluation` the later batches."""
+    with _Stage("aggregate", timings):
+        report = _aggregate(config, fits, rows, train_stats)
     per_test = config.n_burn + config.n_test
+    n_first = min(_chains_per_batch(config), config.n_test_chains)
     report.run_info["timings"] = {k: round(wall, 6) for k, (wall, _) in timings.items()}
     report.run_info["cpu_timings"] = {k: round(cpu, 6) for k, (_, cpu) in timings.items()}
     report.run_info["chain_steps"] = {
-        "train-sampling": ((config.n_burn + config.n_train if with_train else 0)
+        "train-sampling": ((config.n_burn + config.n_train if train_stats else 0)
                            + n_first * per_test),
         "test-evaluation": (config.n_test_chains - n_first) * per_test,
     }
@@ -526,21 +572,7 @@ def _with_timings(report: VRFReport, timings: dict, config: ExperimentConfig,
 def run_experiment(config: ExperimentConfig) -> VRFReport:
     """Full pipeline; any stage failure aborts with a stage-tagged error and
     nothing is written."""
-    timings: dict = {}
-    first_streams, *later = _test_batches(config)
-    with _Stage("train-sampling", timings):
-        (train, train_stats), first = _sample_batch(config, first_streams, with_train=True)
-    with _Stage("fit", timings):
-        design = build_design(config, train, LagWindow(config.train_truncation))
-        fits = fit_methods(config, design)
-    # The training states may be a view of the first batch's array; drop
-    # them so that the array is released once the first batch is scored.
-    del train
-    with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits, first, later)
-    with _Stage("aggregate", timings):
-        report = _aggregate(config, fits, rows, train_stats)
-    return _with_timings(report, timings, config, len(first_streams), with_train=True)
+    return _report(config, *_experiment(config, lambda design: fit_methods(config, design)))
 
 
 def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFReport:
@@ -548,64 +580,37 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
     chains, without refitting. No training chain is sampled, so the report's
     training acceptance fields are null; the `train-sampling` stage samples
     the first test batch."""
-    timings: dict = {}
-    fits = {}
-    for method, theta in thetas.items():
-        theta = np.asarray(theta, dtype=np.float64)
-        fits[method] = FitResult(
-            theta=theta, objective_at_theta=0.0, objective_at_zero=0.0,
-            method="provided", iterations=0, converged=True,
-        )
-    config = _with_methods(config, tuple(fits))
-    first_streams, *later = _test_batches(config)
-    with _Stage("train-sampling", timings):
-        _, first = _sample_batch(config, first_streams)
-    with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits, first, later)
-    with _Stage("aggregate", timings):
-        report = _aggregate(config, fits, rows, None)
-    return _with_timings(report, timings, config, len(first_streams), with_train=False)
-
-
-def _with_methods(config: ExperimentConfig, methods: tuple) -> ExperimentConfig:
-    return replace(config, methods=methods)
+    fits = {method: FitResult(theta=np.asarray(theta, dtype=np.float64),
+                              objective_at_theta=0.0, objective_at_zero=0.0,
+                              method="provided", iterations=0, converged=True)
+            for method, theta in thetas.items()}
+    config = replace(config, methods=tuple(fits))
+    return _report(config, *_experiment(config, fits=fits))
 
 
 def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
-    """Refit the spectral criterion at each training truncation, then score
-    all fits in one pass over the test chains (fixed test truncation), so
-    each test chain is sampled once however many values are swept. The
-    training chain is sampled in the first test batch's call. Returns one row
-    per value: {b_n, mean_vrf, infinite_count}."""
+    """Fit esvm at each training truncation on one training design, then
+    score all fits in one pass over the test chains (fixed test truncation),
+    so each test chain is sampled once however many values are swept.
+    Returns one row per value: {b_n, mean_vrf, infinite_count}, read as
+    run_experiment reads a method's mean_vrf and infinite_count."""
+    bn_values = [int(b) for b in bn_values]
     for b in bn_values:
         if not 1 <= b <= config.n_train:
             raise ConfigError(f"truncation {b} outside [1, {config.n_train}]")
-    timings: dict = {}
-    first_streams, *later = _test_batches(config)
-    with _Stage("train-sampling", timings):
-        (train, _), first = _sample_batch(config, first_streams, with_train=True)
-    fits = {}
-    design = None
-    for b in bn_values:
-        with _Stage(f"fit[b_n={b}]", timings):
-            # Only the window depends on b_n: build the design once.
-            window = LagWindow(int(b))
-            design = (build_design(config, train, window) if design is None
-                      else replace(design, window=window))
-            fits[int(b)] = fit(design, config.family, "esvm", ridge=config.ridge)
-    del train
-    with _Stage("test-evaluation", timings):
-        rows = _evaluate_stage(config, fits, first, later) if fits else []
-    rows_out = []
-    for b in bn_values:
-        entries = [r["methods"][int(b)] for r in rows]
-        finite = [e["vrf"] for e in entries if not e["infinite"]]
-        rows_out.append({
-            "b_n": int(b),
-            "mean_vrf": float(np.mean(finite)) if finite else None,
-            "infinite_count": sum(e["infinite"] for e in entries),
-        })
-    return rows_out
+
+    def fit_each(design):
+        fits = {}
+        for b in bn_values:
+            # tags a failing fit with its truncation; the fit stage around
+            # it passes the tagged error on as it is
+            with _Stage(f"fit[b_n={b}]", {}):
+                fits[b] = fit(replace(design, window=LagWindow(b)), config.family, "esvm",
+                              ridge=config.ridge)
+        return fits
+
+    _, rows, _, _ = _experiment(config, fit_each)
+    return [{"b_n": b, **_vrf_summary(rows, b)} for b in bn_values]
 
 
 # ---------------------------------------------------------------------------

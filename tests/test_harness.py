@@ -51,6 +51,17 @@ def mini_report():
     return run_experiment(_mini_config())
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Any sampler call fails the test."""
+    import esvm.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was sampled")
+
+    monkeypatch.setattr(harness, "sample_chains", refuse)
+
+
 class TestVrf:
     def test_identical_series_give_one(self):
         rng = np.random.default_rng(0)
@@ -328,6 +339,28 @@ class TestTrainingChain:
         assert '"train_rate": null' in report_json(report)
 
 
+class TestSharedPipeline:
+    @pytest.mark.parametrize("sampler_kind, gamma", [("ula", 0.1), ("mala", 0.5), ("rwm", 0.5)])
+    def test_evaluation_with_parameters_reproduces_run(self, sampler_kind, gamma):
+        # the run's own fits scored again on the same test chains give the
+        # same figures bit for bit, although only the run samples stream 0
+        # in the first batch
+        from esvm.harness import evaluate_with_parameters
+
+        cfg = _mini_config(sampler_kind=sampler_kind, gamma=gamma, n_train=1000, n_test=800,
+                           b_n_train=10)
+        run = run_experiment(cfg)
+        evaluated = evaluate_with_parameters(cfg, {m.method: m.family["params"]
+                                                   for m in run.methods})
+        assert evaluated.vanilla == run.vanilla
+        assert evaluated.acceptance["test_rates"] == run.acceptance["test_rates"]
+        assert [m.method for m in evaluated.methods] == [m.method for m in run.methods]
+        for got, want in zip(evaluated.methods, run.methods):
+            assert got.vrf == want.vrf
+            assert got.v_adjusted == want.v_adjusted
+            assert got.averages == want.averages
+
+
 class TestBatching:
     def test_batch_size_cut_to_the_state_budget(self):
         from esvm.harness import _chains_per_batch
@@ -419,6 +452,22 @@ class TestBnSweep:
                                           n_test_chains=4, b_n_train=12,
                                           methods=("esvm",)))
         assert rows[0]["mean_vrf"] == pytest.approx(rep.methods[0].mean_vrf, rel=1e-12)
+
+    def test_failing_fit_tagged_with_its_truncation(self, monkeypatch):
+        import esvm.harness as harness
+        from esvm.errors import StageError
+
+        fit = harness.fit
+
+        def failing(design, *args, **kwargs):
+            if design.window.b_n == 12:
+                raise FloatingPointError("no fit")
+            return fit(design, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", failing)
+        with pytest.raises(StageError) as info:
+            bn_sweep(_mini_config(n_train=1000, n_test=600, n_test_chains=2), [4, 12, 30])
+        assert info.value.stage == "fit[b_n=12]"
 
     def test_sweep_values_validated(self):
         with pytest.raises(ConfigError):
@@ -565,6 +614,49 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"sampler": {"kind": "hmc", "gamma": 0.1}},
+        {"sampler": {"kind": "ula", "gamma": -1.0}},
+        {"sampler": {"kind": "ula", "gamma": float("nan")}},
+        {"x0": [0.0]},
+        {"x0": [0.0, float("inf")]},
+        {"b_n": 0},
+        {"b_n_test": 0},
+        {"functional": {"kind": "coordinate", "index": 5}},
+        {"functional": {"kind": "test_likelihood"}},
+        {"batch_size": 0},
+        {"threads": 0},
+    ], ids=["hmc", "negative-gamma", "nan-gamma", "short-x0", "infinite-x0", "b_n-0",
+            "b_n_test-0", "index-outside-state", "test-likelihood-without-dataset",
+            "batch_size-0", "threads-0"])
+    def test_bad_configuration_rejected_at_load(self, tmp_path, capsys, no_sampling, overrides):
+        from esvm.cli import main
+        from esvm.config import experiment_from_dict
+
+        cfg = self._write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            experiment_from_dict(json.loads(cfg.read_text()))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"methods": {"esvm": {"theta": [0.0] * 5}}},
+        {"methods": {"esvm": {"theta": [1.0] * 5 + ["x"]}}},
+        [{"methods": {}}],
+        {"methods": {"esvm": {"theta": [float("nan")] * 6}}},
+    ], ids=["wrong-length", "not-a-number", "top-level-list", "nan"])
+    def test_bad_fit_document_rejected_before_sampling(self, tmp_path, capsys, no_sampling,
+                                                       doc):
+        from esvm.cli import main
+
+        cfg = self._write_config(tmp_path)  # second-order family in 2-D: 6 parameters
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fit.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         from esvm.cli import main
