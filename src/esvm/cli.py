@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -110,10 +109,10 @@ def _cmd_fit(args, config) -> int:
     return 0
 
 
-def _read_thetas(path: Path, n_params: int) -> dict:
-    """method -> theta from a fit.json document, each checked to be n_params
-    finite numbers, so that a bad document stops the command before any
-    chain is sampled."""
+def _read_thetas(path: Path) -> dict:
+    """method -> theta from a fit.json document, each checked to be a list of
+    numbers; `evaluate_with_parameters` checks their count and finiteness
+    before it samples a chain."""
     if not path.exists():
         raise ConfigError(f"no fitted parameters at {path}; run `esvm fit` first")
     try:
@@ -127,18 +126,16 @@ def _read_thetas(path: Path, n_params: int) -> dict:
     thetas = {}
     for method, entry in methods.items():
         theta = entry.get("theta") if isinstance(entry, dict) else None
-        if not (isinstance(theta, list) and len(theta) == n_params
-                and all(isinstance(v, float) and math.isfinite(v) for v in theta)):
-            raise ConfigError(f"{path}: the theta of method {method!r} must be "
-                              f"{n_params} finite numbers")
+        if not (isinstance(theta, list) and all(isinstance(v, float) for v in theta)):
+            raise ConfigError(f"{path}: the theta of method {method!r} must be a list "
+                              "of numbers")
         thetas[method] = np.asarray(theta)
     return thetas
 
 
 def _cmd_evaluate(args, config) -> int:
     out = _out_dir(args, config)
-    report = evaluate_with_parameters(config, _read_thetas(out / "fit.json",
-                                                           config.family.n_params))
+    report = evaluate_with_parameters(config, _read_thetas(out / "fit.json"))
     paths = emit_report(report, out)
     _print_summary(report)
     print(f"wrote {paths['report']}")

@@ -579,11 +579,17 @@ def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFRepor
     """Score pre-fitted parameter vectors (method name -> theta) on fresh test
     chains, without refitting. No training chain is sampled, so the report's
     training acceptance fields are null; the `train-sampling` stage samples
-    the first test batch."""
-    fits = {method: FitResult(theta=np.asarray(theta, dtype=np.float64),
-                              objective_at_theta=0.0, objective_at_zero=0.0,
-                              method="provided", iterations=0, converged=True)
-            for method, theta in thetas.items()}
+    the first test batch. Each theta must be family.n_params finite numbers,
+    checked before any chain is sampled."""
+    n_params = config.family.n_params
+    fits = {}
+    for method, theta in thetas.items():
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (n_params,) or not np.all(np.isfinite(theta)):
+            raise ConfigError(f"the theta of method {method!r} must be {n_params} finite "
+                              "numbers")
+        fits[method] = FitResult(theta=theta, objective_at_theta=0.0, objective_at_zero=0.0,
+                                 method="provided", iterations=0, converged=True)
     config = replace(config, methods=tuple(fits))
     return _report(config, *_experiment(config, fits=fits))
 

@@ -12,8 +12,11 @@ can therefore be drawn up front without changing the chain, which lets many
 chains advance in lock-step as (C, d) array operations while each remains a
 pure function of its own key. Rejected proposals consume exactly the same
 draws as accepted ones. Noise is drawn in blocks of NOISE_BLOCK steps, and
-burn-in states are never stored, so a run holds only its kept states plus
-buffers whose size does not grow with the chain length.
+only for the chains still running in a block, so a chain that has finished
+costs nothing more. Burn-in states are never stored, so a run holds only its
+kept states plus buffers whose size does not grow with the chain length. The
+one chain left in a segment steps in Python floats, with the bits it would
+have in a batch.
 """
 
 from __future__ import annotations
@@ -68,45 +71,66 @@ class AcceptanceStats:
 def _noise_blocks(kind: str, keys: Sequence[SeedKey], gamma: float, steps: Sequence[int],
                   d: int):
     """Yield (start, noise, log_u) for consecutive blocks of at most
-    NOISE_BLOCK steps out of max(steps): noise[t] is the pre-scaled (C, d)
-    proposal noise of step start + t, log_u[t] the (C,) log-uniforms (None for
-    ULA). Chain i makes steps[i] steps and draws noise for those alone; past
-    its last step its rows read 0 (and log-uniform 0) and are never used.
+    NOISE_BLOCK steps out of max(steps): noise[t] is the pre-scaled (r, d)
+    proposal noise of step start + t for the r chains still running in the
+    block, log_u[t] their (r,) log-uniforms (None for ULA). Chain i makes
+    steps[i] steps; the steps must not increase along the chains, so the
+    running chains are the leading ones. A chain draws noise for its own
+    steps alone: once it has finished, its generators are not called and it
+    has no row. Past the last step of a chain that ends inside a block, its
+    rows read 0 (and log-uniform 0) and are never used.
 
-    Each chain's generators are advanced block by block, which yields the
-    same values as drawing all its steps at once. The buffers are reused, so a
-    yielded block is valid only until the next one is drawn, and the caller
-    may overwrite it.
+    Each block is a C-contiguous (b, r, d) array, laid out as for a batch of
+    the r running chains alone. Each chain's generators are advanced block
+    by block, which yields the same values as drawing all its steps at once.
+    The buffers are reused, so a yielded block is valid only until the next
+    one is drawn, and the caller may overwrite it.
     """
-    n_chains = len(keys)
     m = max(steps)
     size = min(NOISE_BLOCK, m)
     normals = [key.generator(ROLE_NORMAL) for key in keys]
     uniforms = [key.generator(ROLE_UNIFORM) for key in keys] if kind != "ula" else []
-    noise_buf = np.empty((size, n_chains, d))
-    log_u_buf = np.empty((size, n_chains)) if uniforms else None
+    noise_buf = np.empty(size * len(keys) * d)
+    log_u_buf = np.empty(size * len(keys)) if uniforms else None
     scale = np.sqrt(2.0 * gamma) if kind != "rwm" else np.sqrt(gamma)
     for start in range(0, m, size):
         b = min(size, m - start)
-        noise = noise_buf[:b]
-        # steps of this block that each chain makes
-        own = [min(b, max(m_i - start, 0)) for m_i in steps]
-        for i, gen in enumerate(normals):
-            noise[: own[i], i, :] = gen.standard_normal((own[i], d))
-            noise[own[i] :, i, :] = 0.0
+        # steps of this block that each running chain makes
+        own = [min(b, m_i - start) for m_i in steps if m_i > start]
+        r = len(own)
+        noise = noise_buf[: b * r * d].reshape(b, r, d)
+        for i, n_i in enumerate(own):
+            noise[:n_i, i] = normals[i].standard_normal((n_i, d))
+            noise[n_i:, i] = 0.0
         noise *= scale
         log_u = None
         if uniforms:
-            log_u = log_u_buf[:b]
-            for i, gen in enumerate(uniforms):
-                log_u[: own[i], i] = gen.random(own[i])
-                log_u[own[i] :, i] = 1.0
+            log_u = log_u_buf[: b * r].reshape(b, r)
+            for i, n_i in enumerate(own):
+                log_u[:n_i, i] = uniforms[i].random(n_i)
+                log_u[n_i:, i] = 1.0
             with np.errstate(divide="ignore"):
                 np.log(log_u, out=log_u)
         yield start, noise, log_u
 
 
 _INF = float("inf")
+# np.add.reduce sums a contiguous row left to right only below 8 terms.
+_FLOAT_SUM_DIM = 8
+
+
+def _squared_distance(a, b):
+    """|a - b|^2 for two lists of d floats, with the bits np.add.reduce gives
+    on the (d,) row of squared differences: summed in Python floats, left to
+    right from 0.0, below _FLOAT_SUM_DIM terms, and by numpy from there up."""
+    if len(a) < _FLOAT_SUM_DIM:
+        total = 0.0
+        for ai, bi in zip(a, b):
+            diff = ai - bi
+            total += diff * diff
+        return total
+    diff = np.subtract(a, b)
+    return float(np.add.reduce(diff * diff))
 
 
 def _lone_ula(target, gamma, x, slots):
@@ -119,38 +143,36 @@ def _lone_ula(target, gamma, x, slots):
     for nxt in slots:
         g = target.gradient(x).tolist()
         xs = [z + (xi - gi * gamma) for z, xi, gi in zip(nxt.tolist(), xs, g)]
-        nxt[:] = xs
+        nxt[...] = xs
         x = nxt
     return x
 
 
-def _lone_mala(target, gamma, x, slots, log_us, u_x, drift, spare, tmp):
+def _lone_mala(target, gamma, x, slots, log_us, u_x, drift):
     """MALA steps of the one chain left in a segment: `x` is its (d,) state,
     `slots` its (d,) noise slots, `log_us` its folded log-uniforms as Python
     floats, `u_x` the current potential as a float and `drift` the current
-    x - gamma grad U(x). Returns the last state, its potential, the buffer
-    that then holds the current drift (`drift` or `spare`), and the per-step
-    finite-ratio and accept flags.
+    x - gamma grad U(x) as a list of floats. Returns the last state, its
+    potential, its drift and the per-step finite-ratio and accept flags.
 
-    The ratio is formed and compared in Python floats, in the batched loop's
-    order of operations. Python's + - * / on floats round as numpy's
-    elementwise ufuncs do, so the chain decides as it would in a batch."""
+    The proposal, its drift and the ratio are formed and compared in Python
+    floats, in the batched loop's order of operations. Python's + - * / on
+    floats round as numpy's elementwise ufuncs do, so the chain decides as
+    it would in a batch."""
     four_gamma = 4.0 * gamma
+    xs = x.tolist()
     finite, taken = [], []
     for nxt, lu in zip(slots, log_us):
-        nxt += drift
+        ys = [z + di for z, di in zip(nxt.tolist(), drift)]
+        nxt[...] = ys
         prop_u, prop_g = target.value_and_grad(nxt)
-        np.multiply(prop_g, gamma, out=tmp)
-        np.subtract(nxt, tmp, out=spare)
-        np.subtract(x, spare, out=tmp)
-        tmp *= tmp
         u_y = float(prop_u)
-        log_alpha = (u_x - u_y) - float(np.add.reduce(tmp)) / four_gamma
+        spare = [yi - gi * gamma for yi, gi in zip(ys, prop_g.tolist())]
+        log_alpha = (u_x - u_y) - _squared_distance(xs, spare) / four_gamma
         ok = -_INF < log_alpha < _INF
         acc = ok and lu < log_alpha
         if acc:
-            u_x = u_y
-            drift, spare = spare, drift
+            u_x, drift, xs = u_y, spare, ys
         else:
             nxt[...] = x
         finite.append(ok)
@@ -192,14 +214,15 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
 
     Each step writes its new states over its own, already used, slot of the
     time-major noise block, so every per-step slice is contiguous and the
-    block's kept states are copied out per chain once it is done. Burn-in
-    states are never stored, and memory beyond the kept states is flat in
-    the chain lengths. A Metropolis segment with one chain left runs through
-    `_lone_mala` or `_lone_rwm`, which make the same decisions in Python
-    floats at a fraction of the cost of numpy calls on one-row arrays, and a
-    ULA segment with one chain left through `_lone_ula`. These hand the
+    block's kept states are copied out per chain once it is done. A block
+    holds rows for the chains still running in it alone, and the MALA fold
+    below covers only those. Burn-in states are never stored, and memory
+    beyond the kept states is flat in the chain lengths. A segment with one
+    chain left runs through `_lone_ula`, `_lone_mala` or `_lone_rwm`, which
+    step and decide in Python floats with the batched loop's bits at a
+    fraction of the cost of numpy calls on one-row arrays. These hand the
     target the chain's (d,) row, on which the elementwise targets compute in
-    NumPy scalars.
+    NumPy scalars and the Gaussian mixture of small d in Python floats.
 
     MALA's log ratio is U(x) - U(y) + (|y - x + gamma g(x)|^2
     - |x - y + gamma g(y)|^2) / (4 gamma) for gradients g. The first square
@@ -246,7 +269,7 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
             prop_drift = np.empty((n_chains, d))
             tmp = np.empty((n_chains, d))
             bwd = np.empty(n_chains)
-            fwd_buf = np.empty((min(size, FOLD_STEPS), n_chains))
+            fwd_buf = np.empty(min(size, FOLD_STEPS) * n_chains)
             u, g = target.value_and_grad(x)
             np.multiply(g, gamma, out=tmp)
             np.subtract(x, tmp, out=drift)
@@ -262,10 +285,11 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     with np.errstate(over="ignore", invalid="ignore"):
         for start, noise, log_u in _noise_blocks(kind, keys, gamma, steps, d):
             if kind == "mala":
-                # log u - |noise|^2 / (4 gamma), FOLD_STEPS steps at a time
+                # log u - |noise|^2 / (4 gamma), FOLD_STEPS steps at a time,
+                # for the running chains alone
                 for t in range(0, len(noise), FOLD_STEPS):
                     rows = noise[t : t + FOLD_STEPS]
-                    fwd = fwd_buf[: len(rows)]
+                    fwd = fwd_buf[: rows.shape[0] * rows.shape[1]].reshape(rows.shape[:2])
                     np.einsum("tcd,tcd->tc", rows, rows, out=fwd)
                     fwd /= four_gamma
                     log_u[t : t + len(rows)] -= fwd
@@ -306,7 +330,7 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
                     if kind == "mala":
                         x, u_x, cur, ok_k[:, 0], acc_k[:, 0] = _lone_mala(
                             target, gamma, x[0], slots, log_us, float(cur_u[0]),
-                            drift[0], prop_drift[0], tmp[0])
+                            drift[0].tolist())
                         drift[0] = cur
                     else:
                         x, u_x, ok_k[:, 0], acc_k[:, 0] = _lone_rwm(

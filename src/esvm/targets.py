@@ -4,7 +4,8 @@ autoregressive reference chain with known long-run variance.
 Every potential and gradient is vectorized over leading axes: inputs of shape
 (d,), (C, d) or (n, C, d) all work, which is what the lock-step chain driver
 relies on. The elementwise targets read a coordinate of one (d,) state as a
-NumPy scalar, x[i], and of a batch as a view of the column, x[..., i], so
+NumPy scalar, x[i], and of a batch as a view of the column, x[..., i], and
+the Gaussian mixture computes a (d,) state of small d in Python floats, so
 that a lone chain's state is computed in scalar arithmetic with the bits of
 its row in a batch.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import csv as _csv
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -21,6 +23,14 @@ import numpy as np
 from .chains import ROLE_NORMAL, SeedKey, Trajectory, TrajectoryMeta
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+# A (d,) row of the Gaussian mixture is computed in Python floats below this
+# d. That route costs O(d^2) interpreted operations. Timed per call on one
+# row on a 2-core x86-64 box (Python 3.11, numpy 2.4.6), its gradient beat
+# the numpy route at every d up to 4, drew level at d = 5 and lost from
+# d = 6 on. It must also stay below 8, where np.add.reduce stops summing
+# left to right.
+_FLOAT_ROW_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,10 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
     with s = mu' S^-1 x the potential and gradient have a closed form:
     U = x' S^-1 x / 2 + mu' S^-1 mu / 2 - log(rho e^s + (1 - rho) e^-s) and
     grad U = S^-1 x - tanh(s + logit(rho) / 2) S^-1 mu.
+
+    A batch of rows goes through one einsum. A lone (d,) row of fewer than
+    _FLOAT_ROW_DIM coordinates is computed in Python floats with the same
+    bits, and its potential is a Python float.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -100,17 +114,43 @@ def gmm_target(rho: float, mu, sigma) -> TargetModel:
     with np.errstate(divide="ignore"):
         log_w1, log_w2 = float(np.log(rho)), float(np.log(1.0 - rho))
     half_logit = 0.5 * (log_w1 - log_w2)
+    # A (d,) row below _FLOAT_ROW_DIM coordinates is computed in Python
+    # floats in the batched path's order of operations: each entry of xp as
+    # a sum of products from 0.0, left to right, which is the einsum loop's
+    # order, and the quadratic term the same way, which is np.add.reduce's
+    # order on fewer than 8 terms. tanh and logaddexp stay numpy's, called
+    # on floats: math.tanh does not round as numpy's SIMD loop does.
+    float_rows = d < _FLOAT_ROW_DIM
+    proj_cols = proj.T.tolist()
+    sinv_mu_row = sinv_mu.tolist()
 
     def shared(x):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1 and float_rows:
+            xs = x.tolist()
+            xp = []
+            for col in proj_cols:
+                acc = 0.0
+                for term in map(mul, xs, col):
+                    acc += term
+                xp.append(acc)
+            return xs, xp, xp[d]
         xp = np.einsum("...i,ij->...j", x, proj)
         return x, xp, (xp[d] if x.ndim == 1 else xp[..., d])
 
     def value(x, xp, s):
+        if type(x) is list:
+            quad = 0.0
+            for term in map(mul, x, xp):
+                quad += term
+            return 0.5 * quad + half_mu_quad - float(np.logaddexp(log_w1 + s, log_w2 - s))
         quad = np.add.reduce(x * xp[..., :d], axis=-1)
         return 0.5 * quad + half_mu_quad - np.logaddexp(log_w1 + s, log_w2 - s)
 
     def grad(x, xp, s):
+        if type(x) is list:
+            pull = float(np.tanh(s + half_logit))
+            return np.array([p - pull * m for p, m in zip(xp, sinv_mu_row)])
         pull = np.tanh(s + half_logit)
         return xp[..., :d] - pull[..., None] * sinv_mu
 

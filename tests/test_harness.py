@@ -339,6 +339,17 @@ class TestTrainingChain:
         assert '"train_rate": null' in report_json(report)
 
 
+    @pytest.mark.parametrize("theta", [[1.0], [float("nan")] * 6],
+                             ids=["wrong-length", "all-nan"])
+    def test_evaluation_with_parameters_checks_theta_before_sampling(self, no_sampling,
+                                                                     theta):
+        # second-order family in 2-D: 6 parameters
+        from esvm.harness import evaluate_with_parameters
+
+        with pytest.raises(ConfigError, match="'esvm' must be 6 finite numbers"):
+            evaluate_with_parameters(_mini_config(), {"esvm": theta})
+
+
 class TestSharedPipeline:
     @pytest.mark.parametrize("sampler_kind, gamma", [("ula", 0.1), ("mala", 0.5), ("rwm", 0.5)])
     def test_evaluation_with_parameters_reproduces_run(self, sampler_kind, gamma):

@@ -2,14 +2,21 @@
 
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
 from esvm.chains import ROLE_NORMAL, ROLE_UNIFORM, SeedKey
 from esvm.errors import NumericError
-from esvm.samplers import NOISE_BLOCK, AcceptanceStats, SamplerConfig, sample_chain, sample_chains
+from esvm.samplers import (
+    NOISE_BLOCK,
+    AcceptanceStats,
+    SamplerConfig,
+    _squared_distance,
+    sample_chain,
+    sample_chains,
+)
 from esvm.targets import (
     TargetModel,
     banana_target,
@@ -47,6 +54,36 @@ LOCK_STEP_TARGETS = {
 # inside the first noise block and one that ends on a block boundary.
 RAGGED_LENGTHS = [2 * NOISE_BLOCK + 500, NOISE_BLOCK + 300, 400, NOISE_BLOCK + 300,
                   NOISE_BLOCK + 1]
+
+
+class _CountingGenerator:
+    """A generator that records the number of steps of each draw."""
+
+    def __init__(self, gen, draws):
+        self._gen, self._draws = gen, draws
+
+    def standard_normal(self, size):
+        self._draws.append(size[0])
+        return self._gen.standard_normal(size)
+
+    def random(self, size):
+        self._draws.append(size)
+        return self._gen.random(size)
+
+
+@dataclass(frozen=True)
+class _CountingKey(SeedKey):
+    """A SeedKey whose streams' generators record their draws in one shared
+    dict, keyed by (stream, role)."""
+
+    draws: dict = field(default_factory=dict, compare=False)
+
+    def with_stream(self, stream):
+        return _CountingKey(self.master, stream, self.draws)
+
+    def generator(self, role=ROLE_NORMAL):
+        draws = self.draws.setdefault((self.stream, role), [])
+        return _CountingGenerator(super().generator(role), draws)
 
 
 def _standard_gaussian(d):
@@ -419,7 +456,7 @@ class TestSampleChain:
             assert traj.states.shape == (20_000, 2)
             assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
 
-    @pytest.mark.parametrize("name", ["banana", "gmm", "gmm_cov5", "gmm_isolated"])
+    @pytest.mark.parametrize("name", sorted(LOCK_STEP_TARGETS) + ["gmm_isolated"])
     @pytest.mark.parametrize("kind, gamma", KERNELS)
     @pytest.mark.parametrize("n_burn", [0, 250])
     def test_ragged_batch_equals_sequential(self, name, kind, gamma, n_burn):
@@ -437,6 +474,25 @@ class TestSampleChain:
             assert stats.proposed == n - 1 and len(traj) == n - n_burn
             assert traj.meta.seed_stream == stream
             assert traj.states.flags.c_contiguous and not traj.states.flags.writeable
+
+    @pytest.mark.parametrize("kind, gamma", [("mala", 1.0), ("rwm", 0.5)])
+    def test_finished_chains_draw_no_noise(self, kind, gamma):
+        # once a chain has made its last step, its generators are not called
+        # again: each stream's draws are exactly its own steps, block by block
+        lengths = [3 * NOISE_BLOCK + 7, 300, 300]
+        streams = list(range(len(lengths)))
+        target, x0 = LOCK_STEP_TARGETS["gmm"]
+        key = _CountingKey(47)
+        cfg = SamplerConfig(kind, gamma, lengths[0], key)
+        batch = sample_chains(cfg, target, streams, x0, n_steps=lengths)
+        for (traj, stats), stream, n in zip(batch, streams, lengths):
+            own = [min(NOISE_BLOCK, n - 1 - start) for start in range(0, n - 1, NOISE_BLOCK)]
+            assert key.draws[stream, ROLE_NORMAL] == own
+            assert key.draws[stream, ROLE_UNIFORM] == own
+            solo, solo_stats = sample_chain(
+                SamplerConfig(kind, gamma, n, SeedKey(47, stream)), target, x0)
+            np.testing.assert_array_equal(traj.states, solo.states)
+            assert stats == solo_stats
 
     @pytest.mark.parametrize("make", [logistic_target, probit_target])
     def test_ragged_regression_batch_close_to_sequential(self, make):
@@ -500,3 +556,20 @@ class TestSampleChain:
         with pytest.raises(ValueError):
             SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=10)
         SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=9)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_lone_squared_distance_has_the_batched_bits(d):
+    # a lone MALA chain sums |x - drift(y)|^2 in Python floats; a 1-ULP
+    # change in the log ratio almost never flips a decision, so the chain
+    # tests cannot see a wrong summation order, and the sums are compared
+    # here with the batched loop's, over values spread across 16 decades
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((2000, d)) * 10.0 ** rng.uniform(-8, 8, (2000, d))
+    y = x + rng.standard_normal((2000, d)) * 10.0 ** rng.uniform(-8, 8, (2000, d))
+    tmp = np.subtract(x, y)
+    tmp *= tmp
+    batched = np.add.reduce(tmp, axis=-1)
+    for a, b, row, want in zip(x, y, tmp, batched):
+        got = np.float64(_squared_distance(a.tolist(), b.tolist()))
+        assert got.tobytes() == want.tobytes() == np.add.reduce(row).tobytes()

@@ -78,6 +78,24 @@ _ROW_TARGETS = {**_TARGETS, "banana_d2": lambda: banana_target(100.0, 0.1, 2),
                 "gmm_cov5": _gmm_cov5}
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_mixture_rows_have_the_batched_bits(d):
+    # a lone chain's (d,) row of the mixture is computed in Python floats at
+    # small d; one changed summation order moves a last bit, which almost
+    # never shows in a chain, so rows are compared here one by one, with
+    # coordinates spread over 12 decades and exact zeros of either sign
+    rng = np.random.default_rng(100 + d)
+    m = rng.standard_normal((d, d))
+    t = gmm_target(0.35, 0.5 * rng.standard_normal(d), m @ m.T / d + np.eye(d))
+    x = rng.standard_normal((1000, d)) * 10.0 ** rng.uniform(-6, 6, (1000, d))
+    x[:20] = 0.0
+    x[20:40] = -0.0
+    u, g = t.value_and_grad(x)
+    for row, u_i, g_i in zip(x, u, g):
+        assert np.float64(t.potential(row)).tobytes() == u_i.tobytes()
+        assert t.gradient(row).tobytes() == g_i.tobytes()
+
+
 def _assert_rows_match(got, ref, exact):
     assert np.shape(got) == np.shape(ref)
     if exact:
