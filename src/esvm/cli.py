@@ -104,7 +104,8 @@ def _cmd_fit(args, config) -> int:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for m, r in fits.items():
         print(f"{m}: objective {r.objective_at_zero:.6g} -> {r.objective_at_theta:.6g} "
-              f"({r.method}, {r.iterations} iterations)")
+              f"({r.method}, {r.iterations} iterations)"
+              + ("" if r.converged else ", fit not converged"))
     print(f"wrote {path}")
     return 0
 
@@ -179,7 +180,8 @@ def _print_summary(report) -> None:
           f"[{report.config['sampler']}, n_test_chains={report.config['n_test_chains']}]")
     for m in report.methods:
         print(f"  {m.method}: mean VRF {m.mean_vrf}"
-              + (f" ({m.infinite_count} flagged infinite)" if m.infinite_count else ""))
+              + (f" ({m.infinite_count} flagged infinite)" if m.infinite_count else "")
+              + ("" if m.fit["converged"] else ", fit not converged"))
     cpu = report.run_info["cpu_timings"]
     steps = report.run_info["chain_steps"]
     for stage, wall in report.run_info["timings"].items():

@@ -6,9 +6,10 @@ correlation). Both are the same windowed quadratic form: the sample variance
 is its one-lag case, rescaled from divisor n to n - 1. For the linear
 families the criterion is quadratic in the parameters, and one windowed
 long-run covariance matrix of [f, features] gives the ridge-stabilized normal
-equations and the criterion at zero. The bump family and any pathological
-quadratic case go through a limited-memory quasi-Newton descent with a
-backtracking line search.
+equations and the criterion at zero, so a linear fit is one solve and never
+iterates; where that quadratic has no minimum the fit returns zero
+parameters, unconverged. The bump family goes through a limited-memory
+quasi-Newton descent with a backtracking line search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EsvmError
-from .stein import SteinFamily, rbf_jacobian, rbf_quantile_centers, stein_values
+from .stein import SteinFamily, rbf_gradient, rbf_quantile_centers, stein_values
 from .variance import LagWindow, _apply_window, long_run_covariance
 
 MONOTONE_SLACK = 1e-9
@@ -47,7 +48,7 @@ class RbfResponse:
 
     def values_and_jacobian(self, theta):
         values = stein_values(self.family, theta, self.states, self.grads)
-        jac = rbf_jacobian(self.family, theta, self.states, self.grads)
+        jac = rbf_gradient(self.family, theta, self.states, self.grads)
         return values, jac
 
 
@@ -167,15 +168,16 @@ def default_ridge(normal_matrix: np.ndarray) -> float:
 
 def solve_linear(design: DesignSet, objective_kind: str = "esvm",
                  ridge: Optional[float] = None) -> FitResult:
-    """Exact stationary point of the quadratic criterion for linear families.
+    """Exact stationary point of the quadratic criterion for linear families:
+    one solve of the ridge-stabilized normal equations, never iterating. A
+    singular system (ridge 0 only) takes their least-norm solution.
 
-    The window operator is not positive definite, so the stationary point is
-    accepted only if it does not increase the criterion; otherwise (or on a
-    failed solve) the quasi-Newton path takes over from zero. A negative
-    criterion is not a variance minimum: the fit has followed the window's
-    negative directions (to a saddle, or without bound along the fallback's
-    descent), so such a result is returned as it is but with
-    converged=False."""
+    The window operator is not positive definite, so the point is accepted
+    only if it is finite and does not raise the criterion. Otherwise the
+    criterion has no minimum in the class, and the fit returns theta = 0
+    with converged=False (the adjusted series is the raw one). An accepted
+    point with a negative criterion is a saddle of the window's negative
+    directions, not a variance minimum: it is returned with converged=False."""
     if design.features is None:
         raise ValueError("linear solve needs a feature matrix")
     if objective_kind not in OBJECTIVES:
@@ -189,29 +191,23 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
     if ridge is None:
         ridge = default_ridge(normal)
 
-    theta = None
+    system = normal + ridge * np.eye(p)
     try:
-        theta = np.linalg.solve(normal + ridge * np.eye(p), rhs)
-        if not np.all(np.isfinite(theta)):
-            theta = None
+        theta = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
-        theta = None
-
-    result = None
-    if theta is not None:
-        value_theta = objective(theta, design)[0]
-        if value_theta <= value_zero + MONOTONE_SLACK * abs(value_zero):
-            result = FitResult(
-                theta=theta,
-                objective_at_theta=value_theta,
-                objective_at_zero=value_zero,
-                method="linear_solve",
-                iterations=1,
-                converged=True,
-            )
-    if result is None:
-        result = fit_quasi_newton(lambda t: objective(t, design), np.zeros(p))
-    return _flag_negative(result)
+        theta = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    value_theta = objective(theta, design)[0] if np.all(np.isfinite(theta)) else np.inf
+    converged = value_theta <= value_zero + MONOTONE_SLACK * abs(value_zero)
+    if not converged:
+        theta, value_theta = np.zeros(p), value_zero
+    return _flag_negative(FitResult(
+        theta=theta,
+        objective_at_theta=value_theta,
+        objective_at_zero=value_zero,
+        method="linear_solve",
+        iterations=1,
+        converged=converged,
+    ))
 
 
 def _flag_negative(result: FitResult) -> FitResult:
@@ -306,10 +302,10 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
 
 def fit(design: DesignSet, family: SteinFamily, method: str = "esvm",
         ridge: Optional[float] = None) -> FitResult:
-    """Fit dispatch: exact solve (with quasi-Newton fallback) for linear
-    families, quasi-Newton from zero amplitudes and quantile centers for the
-    bump family. Either way a fit whose criterion ends below zero reads
-    converged=False."""
+    """Fit dispatch: one exact solve for linear families (zero parameters,
+    unconverged, when the criterion has no minimum), quasi-Newton from zero
+    amplitudes and quantile centers for the bump family. Either way a fit
+    whose criterion ends below zero reads converged=False."""
     if method not in OBJECTIVES:
         raise ValueError(f"unknown method {method!r}")
     if family.linear:

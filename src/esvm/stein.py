@@ -145,12 +145,6 @@ def rbf_gradient(family: SteinFamily, theta, x, grad_u_at_x) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def rbf_jacobian(family: SteinFamily, theta, states, grads) -> np.ndarray:
-    """(n, 2r) Jacobian of the control variate in the parameters."""
-    return np.atleast_2d(rbf_gradient(family, theta, np.asarray(states).reshape(-1),
-                                      np.asarray(grads).reshape(-1)))
-
-
 def rbf_quantile_centers(samples, n_centers: int) -> np.ndarray:
     """Initial centers at the k/(r+1) empirical quantiles of the samples."""
     probs = np.arange(1, n_centers + 1) / (n_centers + 1.0)

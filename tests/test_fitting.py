@@ -1,5 +1,9 @@
 """Training criteria and their minimizers: analytic gradients, the exact
-linear solve, the quasi-Newton fallback, and fit monotonicity."""
+linear solve (one solve, never iterating; zero parameters where the quadratic
+has no minimum), quasi-Newton descent for the bump family, and fit
+monotonicity."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -119,17 +123,22 @@ class TestSolveLinear:
         assert res.objective_at_theta <= 1e-10
         np.testing.assert_allclose(res.theta, theta_true, atol=1e-7)
 
-    def test_duplicated_column_falls_back_without_ridge(self):
+    def test_duplicated_column_reaches_ridged_fit_without_ridge(self):
+        # at ridge 0 the normal matrix of a duplicated column is singular (or
+        # singular up to rounding); either way the exact solve reaches the
+        # ridged fit's criterion
         rng = np.random.default_rng(11)
         base = rng.standard_normal((80, 2))
         psi = np.column_stack([base, base[:, 0]])
         f = rng.standard_normal(80)
         design = DesignSet(f_values=f, window=LagWindow(3), features=psi)
         res = solve_linear(design, "evm", ridge=0.0)
-        assert res.method == "quasi_newton"
         res_ridged = solve_linear(design, "evm", ridge=None)
-        assert res_ridged.method == "linear_solve"
-        assert res_ridged.objective_at_theta <= res_ridged.objective_at_zero
+        assert res.method == res_ridged.method == "linear_solve"
+        assert res.converged and res_ridged.converged
+        assert res.objective_at_theta == pytest.approx(res_ridged.objective_at_theta,
+                                                       rel=1e-12)
+        assert res.objective_at_theta < res.objective_at_zero
 
     def test_agrees_with_dense_normal_equations(self):
         # dense oracle: build A explicitly, solve (psi' A psi) t = psi' A f
@@ -174,11 +183,15 @@ class TestSolveLinear:
         assert not res.converged
         _, grad = esvm_objective(res.theta, design)
         assert np.max(np.abs(grad)) < 1e-10
-        # here the stationary point raises the criterion, and the fallback's
-        # descent runs without bound along a negative direction
-        runaway = solve_linear(_random_design(n=180, p=5, b_n=8, seed=15), "esvm", ridge=0.0)
-        assert runaway.method == "quasi_newton"
-        assert runaway.objective_at_theta < 0.0 and not runaway.converged
+        # here the stationary point raises the criterion: the quadratic has no
+        # minimum, so the fit keeps zero parameters after its one solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            none = solve_linear(_random_design(n=180, p=5, b_n=8, seed=15), "esvm", ridge=0.0)
+        assert none.method == "linear_solve" and none.iterations == 1
+        np.testing.assert_array_equal(none.theta, np.zeros(5))
+        assert none.objective_at_theta == none.objective_at_zero
+        assert not none.converged
         minimum = solve_linear(_random_design(), "esvm", ridge=0.0)
         assert minimum.method == "linear_solve"
         assert minimum.objective_at_theta >= 0.0 and minimum.converged

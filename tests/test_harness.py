@@ -593,6 +593,26 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert len(report["methods"]) == 2
 
+    def test_unconverged_fit_is_said(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import esvm.harness as harness
+        from esvm.cli import main
+
+        fit = harness.fit
+        monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: dataclasses.replace(
+            fit(*args, **kwargs), converged=False))
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for command, line in (("fit", r"^(esvm|evm): objective .*\)"),
+                              ("run", r"^  (esvm|evm): mean VRF \S+")):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            said = re.findall(line + r", fit not converged$", capsys.readouterr().out, re.M)
+            assert sorted(said) == ["esvm", "evm"]
+        monkeypatch.undo()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "not converged" not in capsys.readouterr().out
+
     def test_sample_and_acf(self, tmp_path, capsys):
         from esvm.chains import load_trajectory
         from esvm.cli import main
