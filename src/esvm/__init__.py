@@ -36,7 +36,6 @@ from .harness import (
     emit_report,
     make_functional,
     run_experiment,
-    vrf,
 )
 from .samplers import (
     AcceptanceStats,
@@ -47,16 +46,13 @@ from .samplers import (
 from .stein import (
     SteinFamily,
     feature_matrix,
-    feature_row,
     rbf_gradient,
     rbf_quantile_centers,
-    stein_value,
     stein_values,
 )
 from .targets import (
     Dataset,
     TargetModel,
-    ar1_reference,
     banana_target,
     gmm_isolated_target,
     gmm_target,
@@ -69,13 +65,8 @@ from .variance import (
     LagWindow,
     SpectralVariance,
     default_truncation,
-    empirical_variance,
     long_run_covariance,
-    quadratic_form_apply,
-    sample_autocovariance,
     spectral_variance,
-    trapezoid_kernel,
-    weight_matrix_oracle,
 )
 
 __version__ = "0.1.0"

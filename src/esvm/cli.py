@@ -3,9 +3,9 @@
 Subcommands: sample, fit, evaluate, run, acf, sweep-bn. Every command takes
 --config PATH plus optional --seed, --out and --threads overrides; when
 --threads is absent the ESVM_THREADS environment variable is consulted.
-Exit codes: 0 success, 2 configuration error (the experiment document, or
-fit.json for evaluate; found before any chain is sampled), 3 numeric/pipeline
-failure.
+Exit codes: 0 success, 2 configuration error (the experiment document, a
+command-line value or ESVM_THREADS, or fit.json for evaluate; found before
+any chain is sampled), 3 numeric/pipeline failure.
 """
 
 from __future__ import annotations
@@ -71,7 +71,12 @@ def _resolve_threads(args) -> int | None:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("ESVM_THREADS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"ESVM_THREADS must be an integer, got {env!r}") from None
 
 
 def _out_dir(args, config) -> Path:
@@ -153,6 +158,9 @@ def _cmd_run(args, config) -> int:
 
 
 def _cmd_acf(args, config) -> int:
+    if not 0 <= args.max_lag < config.n_train:
+        raise ConfigError(f"--max-lag {args.max_lag} outside [0, {config.n_train}) for a "
+                          f"training chain of {config.n_train} states")
     out = _out_dir(args, config)
     traj, _ = train_chain(config)
     functional = make_functional(config.functional, config.dataset, config.regression_kind)
@@ -164,8 +172,11 @@ def _cmd_acf(args, config) -> int:
 
 
 def _cmd_sweep(args, config) -> int:
+    try:
+        bn_values = [int(v) for v in args.bn.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--bn must be comma-separated integers, got {args.bn!r}") from None
     out = _out_dir(args, config)
-    bn_values = [int(v) for v in args.bn.split(",") if v.strip()]
     rows = bn_sweep(config, bn_values)
     path = out / "bn_sweep.csv"
     write_bn_sweep_csv(rows, path)

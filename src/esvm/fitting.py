@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EsvmError
-from .stein import SteinFamily, rbf_gradient, rbf_quantile_centers, stein_values
+from .stein import SteinFamily, rbf_gradient, rbf_quantile_centers
 from .variance import LagWindow, _apply_window, long_run_covariance
 
 MONOTONE_SLACK = 1e-9
@@ -47,9 +47,13 @@ class RbfResponse:
         return theta
 
     def values_and_jacobian(self, theta):
-        values = stein_values(self.family, theta, self.states, self.grads)
+        """The control variate's values and its (n, 2r) Jacobian from one
+        pass over the bumps. The amplitude columns of the Jacobian are the
+        per-unit-amplitude responses, so the values are their product with
+        the amplitudes, with the bits `stein_values` gives."""
         jac = rbf_gradient(self.family, theta, self.states, self.grads)
-        return values, jac
+        r = self.family.n_centers
+        return jac[:, :r] @ theta[:r], jac
 
 
 @dataclass(frozen=True)

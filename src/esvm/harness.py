@@ -209,25 +209,6 @@ def _vrf_from_values(num: float, den: float) -> VrfValue:
     return VrfValue(num / den, False)
 
 
-def vrf(f_series, h_series, window: LagWindow) -> VrfValue:
-    """Ratio of long-run variance estimates, raw over adjusted, on one chain.
-
-    It estimates the ratio of long-run variances only when the window's b_n
-    covers the autocorrelation of both series; on a chain that is still
-    strongly correlated at lag b_n both estimates are truncated and the ratio
-    moves with b_n. The variance of the ergodic averages across independent
-    chains needs no window and is the check for that case.
-
-    A vanishing (or negative, hence degenerate) denominator is clamped at
-    1e-300 and flagged so aggregates can exclude it."""
-    f_series = np.asarray(f_series, dtype=np.float64)
-    h_series = np.asarray(h_series, dtype=np.float64)
-    if f_series.shape != h_series.shape:
-        raise ValueError("series length mismatch")
-    num, den = spectral_variance(np.stack([f_series, h_series]), window).value
-    return _vrf_from_values(float(num), float(den))
-
-
 def acf_dump(series, max_lag: int) -> np.ndarray:
     """Normalized sample autocorrelations for lags 0..max_lag."""
     series = np.asarray(series, dtype=np.float64)
@@ -307,11 +288,6 @@ class VRFReport:
             acceptance=d["acceptance"],
             run_info=d["run_info"],
         )
-
-    def equals_modulo_run_info(self, other: "VRFReport") -> bool:
-        a, b = self.to_dict(), other.to_dict()
-        a.pop("run_info"), b.pop("run_info")
-        return a == b
 
 
 class _Stage:

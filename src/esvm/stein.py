@@ -96,11 +96,6 @@ def stein_values(family: SteinFamily, theta, states, grads) -> np.ndarray:
     return resp @ theta[:r]
 
 
-def stein_value(family: SteinFamily, theta, x, grad_u_at_x) -> float:
-    """Single-point control-variate value."""
-    return float(stein_values(family, theta, np.atleast_1d(x), np.atleast_1d(grad_u_at_x))[0])
-
-
 def feature_matrix(family: SteinFamily, states, grads) -> np.ndarray:
     """Rows psi(x) with g_theta(x) = <theta, psi(x)> for the linear families.
 
@@ -116,17 +111,6 @@ def feature_matrix(family: SteinFamily, states, grads) -> np.ndarray:
     n = states.shape[0]
     quad = -grads[:, :, None] * states[:, None, :] + np.eye(d)[None, :, :]
     return np.hstack([-grads, quad.reshape(n, d * d)])
-
-
-def feature_row(family: SteinFamily, x, grad_u_at_x) -> np.ndarray:
-    return feature_matrix(family, np.atleast_1d(x), np.atleast_1d(grad_u_at_x))[0]
-
-
-def rbf_response(states, grads, centers) -> np.ndarray:
-    """(n, r) responses per unit amplitude; column k is the control variate
-    generated by bump k alone."""
-    _, _, _, resp = _rbf_parts(states, grads, centers)
-    return resp
 
 
 def rbf_gradient(family: SteinFamily, theta, x, grad_u_at_x) -> np.ndarray:

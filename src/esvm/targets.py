@@ -1,5 +1,5 @@
-"""Target densities with analytic gradients, plus dataset ingestion and an
-autoregressive reference chain with known long-run variance.
+"""Target densities with analytic gradients, and the datasets of the
+regression posteriors (synthetic or ingested from CSV).
 
 Every potential and gradient is vectorized over leading axes: inputs of shape
 (d,), (C, d) or (n, C, d) all work, which is what the lock-step chain driver
@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-
-from .chains import ROLE_NORMAL, SeedKey, Trajectory, TrajectoryMeta
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -433,45 +431,3 @@ def probit_target(dataset: Dataset, g: float = 100.0) -> TargetModel:
     """Probit analogue of `logistic_target`; the Gaussian CDF enters through
     its log, evaluated stably for large negative arguments."""
     return _regression_target(dataset, g, "probit")
-
-
-def ar1_reference(a: float, n: int, seed: int):
-    """Linear autoregressive chain x' = a x + z with standard normal
-    innovations, started in stationarity. Returns the trajectory and the
-    exact long-run variance of the identity functional:
-    (1 / (1 - a^2)) * (1 + a) / (1 - a)."""
-    if not abs(a) < 1:
-        raise ValueError("autoregressive coefficient must satisfy |a| < 1")
-    if n < 1:
-        raise ValueError("need at least one state")
-    rng = SeedKey(seed, 0).generator(ROLE_NORMAL)
-    x0 = rng.standard_normal() / np.sqrt(1.0 - a * a)
-    series = np.empty(n)
-    series[0] = x0
-    if n > 1:
-        # Imported here, not at the top: scipy.signal loads stats, optimize,
-        # linalg, sparse and more, which nothing else in esvm uses. At module
-        # level it would triple the time `import esvm` takes and double its
-        # memory.
-        from scipy.signal import lfilter
-
-        z = rng.standard_normal(n - 1)
-        series[1:] = lfilter([1.0], [1.0, -a], z, zi=np.array([a * x0]))[0]
-    v_infinity = (1.0 / (1.0 - a * a)) * (1.0 + a) / (1.0 - a)
-    meta = TrajectoryMeta(sampler="ar1", gamma=a, seed_master=seed, seed_stream=0)
-    return Trajectory(series[:, None], meta), float(v_infinity)
-
-
-def finite_difference_gradient(potential, x, scale: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar potential, one coordinate at a
-    time, with per-coordinate step scale * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        h = scale * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (potential(xp) - potential(xm)) / (2.0 * h)
-    return out

@@ -5,10 +5,9 @@ autocovariances. It is algebraically a quadratic form z' A z with
 A = P W P / n, where P is the centering projector and W the banded Toeplitz
 matrix of window weights. One private operator applies W to centered series
 by convolution; `long_run_covariance` builds the windowed covariance matrix
-Z_c' W Z_c / n of a block of columns from it, and `spectral_variance` and
-`quadratic_form_apply` are its diagonal and one-series cases. The sample
-variance is the one-lag window rescaled to divisor n - 1. A dense oracle is
-kept for tests; production paths never materialize W or A.
+Z_c' W Z_c / n of a block of columns from it, and `spectral_variance` is
+its diagonal. The sample variance is the one-lag window rescaled to divisor
+n - 1. No path materializes W or A.
 """
 
 from __future__ import annotations
@@ -17,15 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
-
-
-def trapezoid_kernel(u):
-    """Even window: 1 on [-1/2, 1/2], linear ramp to 0 at |u| = 1."""
-    arr = np.asarray(u, dtype=np.float64)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("kernel argument outside [-1, 1]")
-    val = np.minimum(1.0, np.maximum(0.0, 2.0 - 2.0 * np.abs(arr)))
-    return float(val) if np.isscalar(u) or arr.ndim == 0 else val
 
 
 def default_truncation(n: int) -> int:
@@ -38,7 +28,9 @@ def default_truncation(n: int) -> int:
 @dataclass(frozen=True)
 class LagWindow:
     """Truncation point b_n of the trapezoid window: integer lags s with
-    |s| < b_n get weight `trapezoid_kernel(s / b_n)`, the others zero."""
+    |s| < b_n get weight w(s / b_n) = min(1, 2 - 2 |s| / b_n), which is 1 up
+    to |s| = b_n / 2 and falls linearly towards 0 at |s| = b_n; the other
+    lags get zero."""
 
     b_n: int
 
@@ -47,8 +39,8 @@ class LagWindow:
             raise ValueError("truncation point must be >= 1")
 
     def weights(self) -> np.ndarray:
-        """w(s / b_n) for s = 0 .. b_n - 1 in closed form; s / b_n < 1, so
-        the kernel's floor at zero never applies."""
+        """w(s / b_n) for s = 0 .. b_n - 1; s / b_n < 1, so no weight
+        reaches zero."""
         return np.minimum(1.0, 2.0 - 2.0 * (np.arange(self.b_n, dtype=np.float64) / self.b_n))
 
 
@@ -57,29 +49,12 @@ class SpectralVariance:
     """Windowed-autocovariance estimate of the long-run variance.
 
     The trapezoid window is not positive definite, so slightly negative values
-    are possible; they are preserved here and clamped only where a report
-    needs a nonnegative number."""
+    are possible; they are kept as they are. A VRF whose adjusted estimate is
+    not positive is flagged infinite by the harness."""
 
     value: float  # one value per series for a stack of series
     b_n: int
     n: int
-
-    @property
-    def clamped(self):
-        return np.maximum(self.value, 0.0)
-
-
-def sample_autocovariance(series: np.ndarray, s: int) -> float:
-    """Lag-s sample autocovariance with divisor n (not n - s) and the
-    full-sample mean subtracted from both factors."""
-    series = np.asarray(series, dtype=np.float64)
-    n = series.size
-    if not 0 <= s < n:
-        raise ValueError(f"lag {s} outside [0, {n})")
-    c = series - series.mean()
-    if s == 0:
-        return float(c @ c) / n
-    return float(c[:-s] @ c[s:]) / n
 
 
 def _next_fast_len(n: int) -> int:
@@ -99,8 +74,8 @@ def _next_fast_len(n: int) -> int:
 
 def autocovariances(series: np.ndarray, n_lags: int) -> np.ndarray:
     """Sample autocovariances at lags 0 .. n_lags - 1 of each series along the
-    last axis, as `sample_autocovariance` defines them (divisor n, full-sample
-    mean subtracted); shape (..., n_lags).
+    last axis, shape (..., n_lags): with c the series minus its full-sample
+    mean, the lag-s value is sum_t c[t] c[t + s] / n (divisor n, not n - s).
 
     One real FFT pass over the centered series, zero-padded to at least
     n + n_lags points so that no lag below n_lags wraps around: O(n log n)
@@ -181,54 +156,3 @@ def spectral_variance(series: np.ndarray, window: LagWindow) -> SpectralVariance
     value = np.add.reduce(c * _apply_window(c, window), axis=-1) / n
     return SpectralVariance(value=float(value) if value.ndim == 0 else value,
                             b_n=window.b_n, n=n)
-
-
-def empirical_variance(series: np.ndarray) -> float:
-    """Unbiased sample variance (divisor n - 1)."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.size < 2:
-        raise ValueError("need at least two observations")
-    return float(np.var(series, ddof=1))
-
-
-def quadratic_form_apply(vec: np.ndarray, window: LagWindow) -> float:
-    """z' A z of one series, the one-column case of `long_run_covariance`;
-    agrees with `spectral_variance` to rounding error."""
-    vec = np.asarray(vec, dtype=np.float64)
-    return float(long_run_covariance(vec.reshape(-1, 1), window)[0, 0])
-
-
-def weight_matrix_oracle(n: int, window: LagWindow) -> np.ndarray:
-    """Dense A = P' W P / n for cross-checks. Test-only: refuses large n so
-    nothing quadratic sneaks into production paths."""
-    if n > 512:
-        raise ValueError("dense oracle limited to n <= 512")
-    if window.b_n > n:
-        raise ValueError("truncation exceeds sample size")
-    idx = np.arange(n)
-    lag = idx[None, :] - idx[:, None]
-    inside = np.abs(lag) < window.b_n
-    w_mat = np.zeros((n, n))
-    w_mat[inside] = trapezoid_kernel(lag[inside].astype(np.float64) / window.b_n)
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    return proj.T @ w_mat @ proj / n
-
-
-def power_iteration_norm(mat: np.ndarray, tol: float = 1e-8, max_iter: int = 20000,
-                         seed: int = 0) -> float:
-    """Spectral norm of a symmetric matrix by power iteration."""
-    n = mat.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= tol * max(1.0, norm):
-            return float(norm)
-        prev = norm
-    return float(prev)

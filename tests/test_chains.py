@@ -69,7 +69,7 @@ class TestErgodicAverage:
     def test_ar1_mean_within_standard_errors(self):
         # the long-run variance of the identity under a = 0.5 is exactly 4,
         # so the mean of 1e5 draws has standard error sqrt(4 / n)
-        from esvm.targets import ar1_reference
+        from _oracles import ar1_reference
 
         traj, v_inf = ar1_reference(0.5, 100_000, 5)
         se = np.sqrt(v_inf / len(traj))

@@ -18,8 +18,10 @@ from esvm.fitting import (
     fit_quasi_newton,
     solve_linear,
 )
-from esvm.stein import SteinFamily, feature_matrix
-from esvm.variance import LagWindow, weight_matrix_oracle
+from esvm.stein import SteinFamily, feature_matrix, rbf_gradient, stein_values
+from esvm.variance import LagWindow
+
+from _oracles import weight_matrix_oracle
 
 
 def _random_design(n=200, p=6, b_n=9, seed=0, response=False):
@@ -48,7 +50,8 @@ def _fd_gradient(objective, theta, design, scale=1e-6):
 
 class TestObjectives:
     def test_zero_parameters_reproduce_raw_criteria(self):
-        from esvm.variance import empirical_variance, spectral_variance
+        from _oracles import empirical_variance
+        from esvm.variance import spectral_variance
 
         design = _random_design()
         theta0 = np.zeros(6)
@@ -59,7 +62,7 @@ class TestObjectives:
         assert v_evm == pytest.approx(empirical_variance(design.f_values), rel=1e-12)
 
     def test_single_lag_window_is_lag_zero_autocovariance(self):
-        from esvm.variance import sample_autocovariance
+        from _oracles import sample_autocovariance
 
         rng = np.random.default_rng(4)
         design = DesignSet(f_values=rng.standard_normal(64),
@@ -111,6 +114,24 @@ class TestObjectives:
         base, _ = esvm_objective(np.array([0.4, 0.0]), design)
         moved, _ = esvm_objective(np.array([0.4, 123.0]), design)
         assert moved == pytest.approx(base, rel=1e-10)
+
+
+class TestRbfResponse:
+    def test_values_are_stein_values_bit_for_bit(self):
+        # The values are read from the Jacobian's amplitude columns. The bump
+        # fit stops at its iteration cap, so a value one ULP off would move
+        # its result.
+        rng = np.random.default_rng(20)
+        for r in range(1, 16):
+            fam = SteinFamily("rbf", 1, n_centers=r)
+            for n in (2, 37, 1000, 20_000):
+                states = 2.0 * rng.standard_normal(n)
+                grads = states + 0.3 * rng.standard_normal(n)
+                theta = np.concatenate([5.0 * rng.standard_normal(r),
+                                        rng.standard_normal(r)])
+                values, jac = RbfResponse(fam, states, grads).values_and_jacobian(theta)
+                np.testing.assert_array_equal(values, stein_values(fam, theta, states, grads))
+                np.testing.assert_array_equal(jac, rbf_gradient(fam, theta, states, grads))
 
 
 class TestSolveLinear:

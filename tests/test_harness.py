@@ -20,9 +20,10 @@ from esvm.harness import (
     make_functional,
     report_json,
     run_experiment,
-    vrf,
 )
 from esvm.variance import LagWindow
+
+from _oracles import ar1_reference, equals_modulo_run_info, vrf
 
 
 def _mini_config(**overrides):
@@ -93,7 +94,7 @@ class TestAcfDump:
         assert abs(acf[1]) < 3.0 / np.sqrt(n)
 
     def test_ar1_geometric_decay(self):
-        traj, _ = esvm.ar1_reference(0.5, 1_000_000, 17)
+        traj, _ = ar1_reference(0.5, 1_000_000, 17)
         acf = acf_dump(traj.states[:, 0], 8)
         for lag in (1, 2, 4, 8):
             assert acf[lag] == pytest.approx(0.5 ** lag, abs=0.02)
@@ -201,7 +202,7 @@ class TestRunExperiment:
         cfg = _mini_config(n_train=800, n_test=800, n_test_chains=3, b_n_train=8)
         a = run_experiment(cfg)
         b = run_experiment(cfg)
-        assert a.equals_modulo_run_info(b)
+        assert equals_modulo_run_info(a, b)
 
     def test_threading_does_not_change_results(self):
         base = run_experiment(_mini_config(n_train=800, n_test=800,
@@ -209,7 +210,7 @@ class TestRunExperiment:
         threaded = run_experiment(_mini_config(n_train=800, n_test=800,
                                                n_test_chains=5, b_n_train=8,
                                                batch_size=2, threads=3))
-        assert base.equals_modulo_run_info(threaded)
+        assert equals_modulo_run_info(base, threaded)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -688,6 +689,25 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("argv,env", [
+        (["sweep-bn", "--bn", "1,x"], None),
+        (["acf", "--max-lag", "5000"], None),
+        (["acf", "--max-lag", "-1"], None),
+        (["run"], "abc"),
+    ], ids=["bn-not-integer", "max-lag-above-chain", "max-lag-negative",
+            "threads-env-not-integer"])
+    def test_bad_command_line_rejected_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                       no_sampling, argv, env):
+        from esvm.cli import main
+
+        if env is not None:
+            monkeypatch.setenv("ESVM_THREADS", env)
+        cfg = self._write_config(tmp_path, n_train=200)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         from esvm.cli import main

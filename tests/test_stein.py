@@ -9,14 +9,14 @@ from esvm.samplers import SamplerConfig, sample_chain
 from esvm.stein import (
     SteinFamily,
     feature_matrix,
-    feature_row,
     rbf_gradient,
     rbf_quantile_centers,
-    stein_value,
     stein_values,
 )
 from esvm.targets import gmm_isolated_target, gmm_target
 from esvm.variance import LagWindow, default_truncation, spectral_variance
+
+from _oracles import feature_row, stein_value
 
 
 class TestSteinValue:

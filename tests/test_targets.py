@@ -14,10 +14,8 @@ from scipy.special import expit
 import esvm
 from esvm.targets import (
     _sigmoid,
-    ar1_reference,
     banana_target,
     build_dataset,
-    finite_difference_gradient,
     gmm_isolated_target,
     gmm_target,
     ingest_csv,
@@ -25,6 +23,8 @@ from esvm.targets import (
     probit_target,
     synthetic_logistic_dataset,
 )
+
+from _oracles import ar1_reference, finite_difference_gradient
 
 
 def _audit_gradient(target, probes, scale=2.0, seed=0, tol=1e-5):
@@ -449,7 +449,8 @@ class TestAr1Reference:
         assert ds.features_train.shape == (100, 4)
 
 
-# Loaded by scipy.signal and by nothing esvm runs outside `ar1_reference`.
+# Loaded by scipy.signal, which nothing in esvm imports; only the test
+# oracle `ar1_reference` does.
 _UNUSED_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
                  "scipy.linalg", "scipy.sparse", "scipy.ndimage", "scipy.integrate",
                  "scipy.spatial")
@@ -457,8 +458,9 @@ _UNUSED_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.opti
 # Imports esvm, builds and calls the mixture, banana and logistic targets and
 # the logistic functional, and runs a mixture experiment whose training window
 # is wide enough to go through the FFT; then builds the target named by the
-# first argument, then runs `ar1_reference`. After each step it prints the
-# scipy modules loaded so far.
+# first argument, then runs the test oracle `ar1_reference`, which imports
+# scipy.signal lazily. After each step it prints the scipy modules loaded so
+# far.
 _IMPORT_PROBE = """
 import sys
 import numpy as np
@@ -487,17 +489,19 @@ if sys.argv[1] == "gmm_isolated":
 else:
     targets.probit_target(ds).value_and_grad(np.zeros((3, 3)))
 loaded()
-targets.ar1_reference(0.5, 10, 0)
+import _oracles
+_oracles.ar1_reference(0.5, 10, 0)
 loaded()
 """
 
 
 def _probe_env():
     """Environment for a fresh interpreter that finds the same esvm as this
-    one; the suite's own process has imported more."""
+    one, and the test oracles; the suite's own process has imported more."""
     src = str(Path(esvm.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
 
 
 def test_import_loads_no_scipy():
