@@ -28,7 +28,6 @@ from .harness import (
     emit_report,
     evaluate_with_parameters,
     fit_methods,
-    make_functional,
     run_experiment,
     train_chain,
     write_acf_csv,
@@ -163,8 +162,7 @@ def _cmd_acf(args, config) -> int:
                           f"training chain of {config.n_train} states")
     out = _out_dir(args, config)
     traj, _ = train_chain(config)
-    functional = make_functional(config.functional, config.dataset, config.regression_kind)
-    values = acf_dump(functional(traj.states), args.max_lag)
+    values = acf_dump(config.evaluator(traj.states), args.max_lag)
     path = out / "acf.csv"
     write_acf_csv(values, path)
     print(f"wrote {path}")

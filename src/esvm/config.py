@@ -1,4 +1,5 @@
-"""Experiment descriptions as nested key/value documents (JSON files)."""
+"""Experiment descriptions as nested key/value documents (JSON files). A
+regression target's `dataset` block builds that target and its test likelihood."""
 
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ def _dataset_from_spec(spec: dict):
 
 
 def _target_from_spec(spec: dict):
-    """Returns (target, dataset, regression_kind)."""
     kind = _require(spec, "kind", "target")
     if kind == "gmm":
         mu = np.asarray(_require(spec, "mu", "target"), dtype=np.float64)
@@ -57,7 +57,7 @@ def _target_from_spec(spec: dict):
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.ndim == 0:
             sigma = float(sigma) * np.eye(mu.size)
-        return gmm_target(float(spec.get("rho", 0.5)), mu, sigma), None, None
+        return gmm_target(float(spec.get("rho", 0.5)), mu, sigma)
     if kind == "gmm_isolated":
         return gmm_isolated_target(
             rho=float(_require(spec, "rho", "target")),
@@ -65,24 +65,23 @@ def _target_from_spec(spec: dict):
             sigma1=float(_require(spec, "sigma1", "target")),
             mu2=float(_require(spec, "mu2", "target")),
             sigma2=float(_require(spec, "sigma2", "target")),
-        ), None, None
+        )
     if kind == "banana":
         return banana_target(
             p=float(spec.get("p", 100.0)),
             b=float(spec.get("b", 0.1)),
             d=int(spec.get("dim", 2)),
-        ), None, None
+        )
     if kind in ("logistic", "probit"):
         dataset = _dataset_from_spec(_require(spec, "dataset", "target"))
         g = float(spec.get("g", 100.0))
-        target = logistic_target(dataset, g) if kind == "logistic" else probit_target(dataset, g)
-        return target, dataset, kind
+        return logistic_target(dataset, g) if kind == "logistic" else probit_target(dataset, g)
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
 def experiment_from_dict(doc: dict, seed_override=None, threads=None) -> ExperimentConfig:
     try:
-        target, dataset, regression_kind = _target_from_spec(_require(doc, "target", "config"))
+        target = _target_from_spec(_require(doc, "target", "config"))
         fspec = _require(doc, "functional", "config")
         functional = FunctionalSpec(
             kind=_require(fspec, "kind", "functional"),
@@ -112,8 +111,6 @@ def experiment_from_dict(doc: dict, seed_override=None, threads=None) -> Experim
             methods=tuple(doc.get("methods", ["esvm", "evm"])),
             seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
             x0=None if x0 is None else tuple(float(v) for v in x0),
-            dataset=dataset,
-            regression_kind=regression_kind,
             ridge=None if doc.get("ridge") is None else float(doc["ridge"]),
             batch_size=int(doc.get("batch_size", DEFAULT_BATCH_SIZE)),
             threads=int(threads if threads is not None else doc.get("threads", 1)),

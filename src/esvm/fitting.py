@@ -25,6 +25,14 @@ from .variance import LagWindow, _apply_window, long_run_covariance
 
 MONOTONE_SLACK = 1e-9
 
+# The quasi-Newton descent's iteration cap, gradient tolerance, number of
+# curvature pairs kept, Armijo constant and line-search step shrink factor.
+QN_MAX_ITER = 500
+QN_GRAD_TOL = 1e-8
+QN_HISTORY = 10
+QN_ARMIJO = 1e-4
+QN_BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class RbfResponse:
@@ -221,16 +229,14 @@ def _flag_negative(result: FitResult) -> FitResult:
     return replace(result, converged=False) if result.objective_at_theta < 0.0 else result
 
 
-def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
-                     grad_tol: float = 1e-8, history: int = 10,
-                     armijo: float = 1e-4, backtrack: float = 0.5) -> FitResult:
+def fit_quasi_newton(objective: Callable, theta0) -> FitResult:
     """Limited-memory quasi-Newton descent with a backtracking line search.
 
     Stops when the max-norm of the gradient falls below
-    grad_tol * (1 + min(|f|, |f(theta0)|)) or after max_iter iterations. The
-    line search never raises f, so the cap on |f| only acts once f has fallen
-    below -|f(theta0)|: a descent running without bound is not called
-    converged for its size alone. A line search that underflows returns the
+    QN_GRAD_TOL * (1 + min(|f|, |f(theta0)|)) or after QN_MAX_ITER
+    iterations. The line search never raises f, so the cap on |f| only acts
+    once f has fallen below -|f(theta0)|: a descent running without bound is
+    not called converged for its size alone. A line search that underflows returns the
     best point seen so far with converged=False; non-finite trial values just
     shrink the step.
     """
@@ -255,8 +261,8 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
             converged=converged,
         )
 
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(grad)) <= grad_tol * (1.0 + min(abs(value), abs(value_start))):
+    for iterations in range(1, QN_MAX_ITER + 1):
+        if np.max(np.abs(grad)) <= QN_GRAD_TOL * (1.0 + min(abs(value), abs(value_start))):
             converged = True
             iterations -= 1
             break
@@ -284,9 +290,9 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
         while True:
             trial = theta + step * direction
             trial_value, trial_grad = objective(trial)
-            if np.isfinite(trial_value) and trial_value <= value + armijo * step * slope:
+            if np.isfinite(trial_value) and trial_value <= value + QN_ARMIJO * step * slope:
                 break
-            step *= backtrack
+            step *= QN_BACKTRACK
             if step < 1e-20:
                 return _result(theta, value, False)
         s_vec = trial - theta
@@ -296,7 +302,7 @@ def fit_quasi_newton(objective: Callable, theta0, max_iter: int = 500,
             s_hist.append(s_vec)
             y_hist.append(y_vec)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > history:
+            if len(s_hist) > QN_HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

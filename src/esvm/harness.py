@@ -19,7 +19,8 @@ method and `evaluate_with_parameters` takes given parameters (no training
 chain is sampled); both then only aggregate the rows into a report.
 `bn_sweep` fits esvm at each training truncation of the one design and reads
 each row's mean VRF and infinite count from the per-fit summary a report's
-methods use.
+methods use. The configuration builds its functional's evaluator once, and
+`_gradients` evaluates grad U along every chain, training and test alike.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -33,18 +34,18 @@ import json
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
-from .fitting import DesignSet, FitResult, RbfResponse, fit
+from .fitting import OBJECTIVES, DesignSet, FitResult, RbfResponse, fit
 from .samplers import NOISE_BLOCK, SamplerConfig, _check_x0, sample_chain, sample_chains
 from .stein import SteinFamily, feature_matrix, stein_values
-from .targets import Dataset, TargetModel, _sigmoid
+from .targets import TargetModel
 from .variance import LagWindow, autocovariances, default_truncation, spectral_variance
 
 SCHEMA_VERSION = 1
@@ -80,9 +81,9 @@ class FunctionalSpec:
         return f"{self.kind}[{self.index}]"
 
 
-def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
-                    regression_kind: Optional[str] = None):
-    """Vectorized evaluator states (n, d) -> values (n,)."""
+def make_functional(spec: FunctionalSpec, target: Optional[TargetModel] = None):
+    """Vectorized evaluator states (n, d) -> values (n,). The test likelihood
+    is the target's own; a target without one has no such functional."""
     if spec.kind == "coordinate":
         return lambda states: np.asarray(states)[:, spec.index].copy()
     if spec.kind == "second_moment":
@@ -93,23 +94,9 @@ def make_functional(spec: FunctionalSpec, dataset: Optional[Dataset] = None,
             return x * x * x
 
         return cube
-    if dataset is None or regression_kind not in ("logistic", "probit"):
-        raise ConfigError("test_likelihood functional needs a dataset and a regression kind")
-    signs = 2.0 * dataset.labels_test - 1.0
-    feats = dataset.features_test
-    if regression_kind == "probit":
-        from scipy.special import ndtr
-
-    def average_test_likelihood(states):
-        t = np.asarray(states) @ feats.T
-        t *= signs
-        if regression_kind == "probit":
-            return ndtr(t, out=t).mean(axis=1)
-        # far in the tail exp(-t) overflows and the sigmoid is an exact 0
-        with np.errstate(over="ignore"):
-            return _sigmoid(t, out=t).mean(axis=1)
-
-    return average_test_likelihood
+    if target is None or target.test_likelihood is None:
+        raise ConfigError("test_likelihood functional needs a regression target")
+    return target.test_likelihood
 
 
 @dataclass(frozen=True)
@@ -129,20 +116,19 @@ class ExperimentConfig:
     methods: tuple = ("esvm", "evm")
     seed: int = 0
     x0: Optional[tuple] = None
-    dataset: Optional[Dataset] = None
-    regression_kind: Optional[str] = None
     ridge: Optional[float] = None
     batch_size: int = DEFAULT_BATCH_SIZE
     threads: int = 1
+    # The functional's evaluator, built from `functional` and `target` once.
+    evaluator: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if min(self.n_train, self.n_test, self.n_test_chains) < 1 or self.n_burn < 0:
             raise ConfigError("chain sizes must be positive (burn-in may be zero)")
-        methods = tuple(m for m in self.methods if m != "none")
-        for m in methods:
-            if m not in ("esvm", "evm"):
+        object.__setattr__(self, "methods", tuple(self.methods))
+        for m in self.methods:
+            if m not in OBJECTIVES:
                 raise ConfigError(f"unknown method {m!r}")
-        object.__setattr__(self, "methods", methods)
         if self.train_truncation > self.n_train:
             raise ConfigError("training truncation exceeds training sample size")
         if self.test_truncation > self.n_test:
@@ -160,7 +146,7 @@ class ExperimentConfig:
             _check_x0(self.target, self.start_point())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        make_functional(self.functional, self.dataset, self.regression_kind)
+        object.__setattr__(self, "evaluator", make_functional(self.functional, self.target))
 
     @property
     def train_truncation(self) -> int:
@@ -193,7 +179,7 @@ class ExperimentConfig:
             "methods": list(self.methods),
             "seed": self.seed,
             "x0": [float(v) for v in self.start_point()],
-            "regression_kind": self.regression_kind,
+            "regression_kind": self.target.regression_kind,
             "ridge": self.ridge,
         }
 
@@ -330,22 +316,25 @@ def train_chain(config: ExperimentConfig):
     return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
+def _gradients(target: TargetModel, states: np.ndarray) -> np.ndarray:
+    """grad U at each of a chain's states, NOISE_BLOCK rows per target call,
+    so that a logistic posterior's row of its data per state is held for one
+    block at a time. Overflow is ignored, as in the samplers: far in the tail
+    the logistic sigmoid's exp(-t) overflows where the sigmoid is an exact 0."""
+    grads = np.empty_like(states)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(states), NOISE_BLOCK):
+            block = slice(lo, lo + NOISE_BLOCK)
+            grads[block] = target.gradient(states[block])
+    return grads
+
+
 def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
     """The training problem on a training trajectory: the functional's values,
     the family's features (or, for the bump family, its response oracle) and
     the lag window of the spectral criterion."""
-    functional = make_functional(config.functional, config.dataset, config.regression_kind)
-    f_values = functional(train.states)
-    # NOISE_BLOCK rows per call, so that the target's per-row intermediates
-    # are held for one block of states at a time: a logistic posterior holds
-    # a row of its data per state.
-    grads = np.empty_like(train.states)
-    # Overflow is ignored here, as in the samplers: far in the tail the
-    # logistic sigmoid's exp(-t) overflows where the sigmoid is an exact 0.
-    with np.errstate(over="ignore"):
-        for lo in range(0, len(train), NOISE_BLOCK):
-            block = slice(lo, lo + NOISE_BLOCK)
-            grads[block] = config.target.gradient(train.states[block])
+    f_values = config.evaluator(train.states)
+    grads = _gradients(config.target, train.states)
     if config.family.linear:
         psi = feature_matrix(config.family, train.states, grads)
         return DesignSet(f_values=f_values, window=window, features=psi)
@@ -395,14 +384,12 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
     """Score every fit on each sampled test chain of a batch; `fits` may be
     keyed by method name or, in a sweep, by truncation. The raw and every
     adjusted series of a chain share one spectral-variance call."""
-    functional = make_functional(config.functional, config.dataset, config.regression_kind)
     rows = []
     for stream, chain, stats in batch:
-        f_values = functional(chain.states)
+        f_values = config.evaluator(chain.states)
         series = [f_values]
         if fits:
-            with np.errstate(over="ignore"):  # as in build_design
-                grads = config.target.gradient(chain.states)
+            grads = _gradients(config.target, chain.states)
             series += [f_values - stein_values(config.family, result.theta, chain.states, grads)
                        for result in fits.values()]
         v_plain, *v_adjusted = spectral_variance(np.stack(series), window).value

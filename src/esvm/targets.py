@@ -1,5 +1,6 @@
 """Target densities with analytic gradients, and the datasets of the
-regression posteriors (synthetic or ingested from CSV).
+regression posteriors (synthetic or ingested from CSV), which carry their
+average held-out likelihood.
 
 Every potential and gradient is vectorized over leading axes: inputs of shape
 (d,), (C, d) or (n, C, d) all work, which is what the lock-step chain driver
@@ -13,7 +14,7 @@ its row in a batch.
 from __future__ import annotations
 
 import csv as _csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from pathlib import Path
 from typing import Callable, Optional
@@ -41,6 +42,10 @@ class TargetModel:
     alone in a sampler segment is evaluated as its (d,) state, whose
     potential is 0-d. A row's result should not depend on the leading
     shape, or a lone chain differs from the same stream in a batch.
+
+    Only the regression posteriors set `regression_kind` ("logistic" or
+    "probit") and `test_likelihood`, which maps states (n, d) to their
+    average held-out likelihoods (n,).
     """
 
     dim: int
@@ -49,6 +54,8 @@ class TargetModel:
     value_and_grad: Callable
     label: str = ""
     exact_moments: dict = field(default_factory=dict)
+    test_likelihood: Optional[Callable] = None
+    regression_kind: Optional[str] = None
 
 
 def _make_target(dim, shared, value, grad, label, exact_moments=None) -> TargetModel:
@@ -373,6 +380,8 @@ def _sigmoid(t, out=None):
 
 
 def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
+    """Posterior of a binary regression with link `kind` on the training rows;
+    its `test_likelihood` averages the link at (2y - 1) x'theta over the held-out rows."""
     feats = dataset.features_train
     y = dataset.labels_train
     d = dataset.dim
@@ -398,7 +407,7 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
             return s @ feats + inv_g * x
 
     elif kind == "probit":
-        from scipy.special import log_ndtr
+        from scipy.special import log_ndtr, ndtr
 
         def shared(x):
             x = np.asarray(x, dtype=np.float64)
@@ -418,7 +427,20 @@ def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
     else:
         raise ValueError(f"unknown regression kind {kind!r}")
 
-    return _make_target(d, shared, value, grad, f"{kind}-{dataset.label}")
+    signs = 2.0 * dataset.labels_test - 1.0
+    feats_test = dataset.features_test
+
+    def test_likelihood(states):
+        t = np.asarray(states) @ feats_test.T
+        t *= signs
+        if kind == "probit":
+            return ndtr(t, out=t).mean(axis=1)
+        # far in the tail exp(-t) overflows and the sigmoid is an exact 0
+        with np.errstate(over="ignore"):
+            return _sigmoid(t, out=t).mean(axis=1)
+
+    return replace(_make_target(d, shared, value, grad, f"{kind}-{dataset.label}"),
+                   test_likelihood=test_likelihood, regression_kind=kind)
 
 
 def logistic_target(dataset: Dataset, g: float = 100.0) -> TargetModel:

@@ -455,7 +455,6 @@ def logistic_run():
         sampler_kind="ula", gamma=0.1,
         n_burn=1_000, n_train=10_000, n_test=10_000, n_test_chains=100,
         b_n_train=10, seed=MASTER_SEED, batch_size=25,
-        dataset=dataset, regression_kind="logistic",
     )
     return {"report": run_experiment(cfg), "elapsed": time.perf_counter() - start}
 
@@ -495,7 +494,6 @@ def test_criterion_10_pima_full_scale():
         sampler_kind="ula", gamma=0.1,
         n_burn=1_000, n_train=10_000, n_test=10_000, n_test_chains=100,
         b_n_train=10, seed=MASTER_SEED, batch_size=25,
-        dataset=dataset, regression_kind="logistic",
         methods=("esvm",),
     )
     level = _mean_vrf(run_experiment(cfg), "esvm")

@@ -117,7 +117,7 @@ class TestFunctionals:
 
     def test_test_likelihood_values(self):
         ds = esvm.synthetic_logistic_dataset(60, 3, k_test=10, seed=4)
-        f = make_functional(FunctionalSpec("test_likelihood"), ds, "logistic")
+        f = make_functional(FunctionalSpec("test_likelihood"), esvm.logistic_target(ds))
         states = np.zeros((2, 3))
         np.testing.assert_allclose(f(states), 0.5)  # zero coefficients: p = 1/2 each
 
@@ -126,13 +126,14 @@ class TestFunctionals:
         # the last 50 states lie far in the tail, where exp(-t) overflows
         # and the logistic sigmoid must return 0 without a warning
         ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
+        target = esvm.logistic_target(ds) if kind == "logistic" else esvm.probit_target(ds)
         states = np.random.default_rng(31).standard_normal((350, 5))
         states[:300] *= 2.0
         states[300:] *= 1e4
         before = states.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = make_functional(FunctionalSpec("test_likelihood"), ds, kind)(states)
+            got = make_functional(FunctionalSpec("test_likelihood"), target)(states)
         assert np.array_equal(states, before)
         t = (2.0 * ds.labels_test - 1.0) * (states @ ds.features_test.T)
         if kind == "probit":
@@ -140,6 +141,78 @@ class TestFunctionals:
         else:
             ref = expit(t).mean(axis=1)
             assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_test_likelihood_on_a_target_without_one_rejected_at_construction(self,
+                                                                               no_sampling):
+        with pytest.raises(ConfigError, match="regression target"):
+            ExperimentConfig(
+                name="no-likelihood", target=esvm.gmm_target(0.5, np.ones(2), np.eye(2)),
+                functional=FunctionalSpec("test_likelihood"),
+                family=esvm.SteinFamily("first_order", 2), sampler_kind="ula", gamma=0.1,
+                n_burn=10, n_train=100, n_test=100, n_test_chains=2, b_n_train=5)
+
+    @pytest.mark.parametrize("kind", ["logistic", "probit"])
+    def test_regression_kind_is_the_targets(self, kind):
+        ds = esvm.synthetic_logistic_dataset(60, 3, k_test=10, seed=4)
+        target = esvm.logistic_target(ds) if kind == "logistic" else esvm.probit_target(ds)
+        cfg = _mini_config(target=target, functional=FunctionalSpec("test_likelihood"),
+                           family=esvm.SteinFamily("first_order", 3))
+        assert cfg.evaluator is target.test_likelihood
+        assert cfg.describe()["regression_kind"] == kind
+        assert _mini_config().describe()["regression_kind"] is None
+
+    def test_rebuilt_config_keeps_the_test_likelihood(self, tmp_path):
+        # the way a traced benchmark run rebuilds a loaded configuration
+        from dataclasses import replace
+
+        ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
+        cfg = _mini_config(target=esvm.logistic_target(ds),
+                           functional=FunctionalSpec("test_likelihood"),
+                           family=esvm.SteinFamily("first_order", 5), n_train=600,
+                           n_test=600, n_test_chains=3, b_n_train=6)
+        rows = []
+
+        def wrapped(x):
+            rows.append(np.shape(x)[0])
+            return cfg.target.gradient(x)
+
+        rebuilt = replace(cfg, target=replace(cfg.target, gradient=wrapped))
+        assert rebuilt.target.test_likelihood is cfg.target.test_likelihood
+        assert rebuilt.target.regression_kind == "logistic"
+        assert rebuilt.evaluator is rebuilt.target.test_likelihood is not None
+        emit_report(run_experiment(cfg), tmp_path / "a")
+        emit_report(run_experiment(rebuilt), tmp_path / "b")
+        assert 600 in rows  # the harness evaluated a whole chain through the wrapper
+        for name in ("vrf.csv", "boxplot.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        a = json.loads((tmp_path / "a/report.json").read_text())
+        b = json.loads((tmp_path / "b/report.json").read_text())
+        a.pop("run_info"), b.pop("run_info")
+        assert a == b and a["config"]["regression_kind"] == "logistic"
+
+
+class TestChainGradients:
+    """`_gradients` evaluates grad U along a chain in blocks of NOISE_BLOCK
+    states; the blocks give the bits of one call on the whole chain."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "banana"])
+    def test_blocks_equal_one_call_bit_for_bit(self, kind):
+        from esvm.harness import _gradients
+        from esvm.samplers import NOISE_BLOCK
+
+        if kind == "logistic":
+            target = esvm.logistic_target(esvm.synthetic_logistic_dataset(500, 8, 100, 90210))
+            sampler = esvm.SamplerConfig("ula", 0.1, 3_200, esvm.SeedKey(7, 0), n_burn=200)
+        else:
+            target = esvm.banana_target(100.0, 0.1, 2)
+            sampler = esvm.SamplerConfig("rwm", 0.5, 3_200, esvm.SeedKey(7, 0), n_burn=200)
+        chain, _ = esvm.sample_chain(sampler, target, np.zeros(target.dim))
+        assert len(chain) == 3_000 > 2 * NOISE_BLOCK
+        with np.errstate(over="ignore"):
+            whole = target.gradient(chain.states)
+        got = _gradients(target, chain.states)
+        assert got.shape == chain.states.shape
+        assert np.array_equal(got, whole)
 
 
 class TestRunExperiment:
@@ -173,7 +246,7 @@ class TestRunExperiment:
         assert q["q3"] == pytest.approx(np.quantile(avgs, 0.75))
 
     def test_no_methods_leaves_vrf_section_empty(self):
-        rep = run_experiment(_mini_config(methods=("none",), n_test_chains=2,
+        rep = run_experiment(_mini_config(methods=(), n_test_chains=2,
                                           n_train=500, n_test=500, b_n_train=5))
         assert rep.methods == []
         assert len(rep.vanilla["averages"]) == 2
@@ -316,7 +389,7 @@ class TestTrainingChain:
         from esvm.samplers import AcceptanceStats
 
         ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
-        cfg = _mini_config(target=esvm.logistic_target(ds), dataset=ds, regression_kind="logistic",
+        cfg = _mini_config(target=esvm.logistic_target(ds),
                            functional=FunctionalSpec("test_likelihood"),
                            family=esvm.SteinFamily("first_order", 5), n_train=400, n_test=400,
                            b_n_train=5)

@@ -476,7 +476,8 @@ for t in (targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
     t.value_and_grad(x)
 ds = targets.synthetic_logistic_dataset(60, 3, k_test=10, seed=1)
 targets.logistic_target(ds).value_and_grad(np.zeros((3, 3)))
-esvm.make_functional(esvm.FunctionalSpec("test_likelihood"), ds, "logistic")(np.zeros((3, 3)))
+esvm.make_functional(esvm.FunctionalSpec("test_likelihood"),
+                     targets.logistic_target(ds))(np.zeros((3, 3)))
 cfg = esvm.ExperimentConfig(
     name="probe", target=targets.gmm_target(0.5, np.array([0.5, 0.5]), np.eye(2)),
     functional=esvm.FunctionalSpec("coordinate", 0), family=esvm.SteinFamily("second_order", 2),
