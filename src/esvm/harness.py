@@ -20,7 +20,8 @@ chain is sampled); both then only aggregate the rows into a report.
 `bn_sweep` fits esvm at each training truncation of the one design and reads
 each row's mean VRF and infinite count from the per-fit summary a report's
 methods use. The configuration builds its functional's evaluator once, and
-`_gradients` evaluates grad U along every chain, training and test alike.
+`_along_chain` evaluates it and grad U along every chain, training and test
+alike, a block of states at a time.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -316,25 +317,29 @@ def train_chain(config: ExperimentConfig):
     return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
-def _gradients(target: TargetModel, states: np.ndarray) -> np.ndarray:
-    """grad U at each of a chain's states, NOISE_BLOCK rows per target call,
-    so that a logistic posterior's row of its data per state is held for one
-    block at a time. Overflow is ignored, as in the samplers: far in the tail
-    the logistic sigmoid's exp(-t) overflows where the sigmoid is an exact 0."""
-    grads = np.empty_like(states)
+def _along_chain(fn, states: np.ndarray) -> np.ndarray:
+    """fn at each of a chain's states, NOISE_BLOCK states per call, stacked
+    along the first axis: the grad U rows (target.gradient) or the functional's
+    values (config.evaluator). A regression posterior's rows of its data per
+    state, and its likelihood's held-out rows, are then held for one block
+    at a time. Overflow is ignored, as in the samplers: far in the tail the
+    logistic sigmoid's exp overflows where the sigmoid is an exact 0."""
+    out = None
     with np.errstate(over="ignore"):
         for lo in range(0, len(states), NOISE_BLOCK):
-            block = slice(lo, lo + NOISE_BLOCK)
-            grads[block] = target.gradient(states[block])
-    return grads
+            block = fn(states[lo : lo + NOISE_BLOCK])
+            if out is None:
+                out = np.empty((len(states),) + block.shape[1:], dtype=block.dtype)
+            out[lo : lo + NOISE_BLOCK] = block
+    return out
 
 
 def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
     """The training problem on a training trajectory: the functional's values,
     the family's features (or, for the bump family, its response oracle) and
     the lag window of the spectral criterion."""
-    f_values = config.evaluator(train.states)
-    grads = _gradients(config.target, train.states)
+    f_values = _along_chain(config.evaluator, train.states)
+    grads = _along_chain(config.target.gradient, train.states)
     if config.family.linear:
         psi = feature_matrix(config.family, train.states, grads)
         return DesignSet(f_values=f_values, window=window, features=psi)
@@ -386,10 +391,10 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
     adjusted series of a chain share one spectral-variance call."""
     rows = []
     for stream, chain, stats in batch:
-        f_values = config.evaluator(chain.states)
+        f_values = _along_chain(config.evaluator, chain.states)
         series = [f_values]
         if fits:
-            grads = _gradients(config.target, chain.states)
+            grads = _along_chain(config.target.gradient, chain.states)
             series += [f_values - stein_values(config.family, result.theta, chain.states, grads)
                        for result in fits.values()]
         v_plain, *v_adjusted = spectral_variance(np.stack(series), window).value

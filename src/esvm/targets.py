@@ -1,6 +1,8 @@
 """Target densities with analytic gradients, and the datasets of the
 regression posteriors (synthetic or ingested from CSV), which carry their
-average held-out likelihood.
+average held-out likelihood. A regression posterior folds each label's sign
+into its design once, so that a row of either link is evaluated from one
+signed linear predictor.
 
 Every potential and gradient is vectorized over leading axes: inputs of shape
 (d,), (C, d) or (n, C, d) all work, which is what the lock-step chain driver
@@ -357,16 +359,16 @@ def synthetic_logistic_dataset(n_rows: int = 500, n_features: int = 8,
                          generating_coefficients=coeff)
 
 
-# The logistic gradient's sigmoid goes through numpy's `exp`, which runs
-# vectorized (about 1 ns per element where SIMD is available), not
-# `scipy.special.expit` (about 11 ns). The synthetic dataset draws its labels
-# through it too, which keeps scipy.special off the import path. It writes in
-# place, because allocating a fresh (chains, rows) array costs as much as the
-# arithmetic. It is private so that tracing, which wraps this module's public
-# functions, does not put a span on every sampler step. It opens no
-# `np.errstate`: that costs as much as the whole sigmoid on one chain's rows.
-# The samplers and the harness call the targets under one that ignores
-# overflow.
+# The sigmoid goes through numpy's `exp`, which runs vectorized (about 1 ns
+# per element where SIMD is available), not `scipy.special.expit` (about
+# 11 ns). Only the held-out likelihood and the synthetic labels call it; the
+# logistic gradient writes its own weight 1 / (1 + exp(u)) over the signed
+# linear predictor u. Both write in place, because allocating a fresh
+# (chains, rows) array costs as much as the arithmetic. It is private so that
+# tracing, which wraps this module's public functions, does not put a span
+# on every sampler step. Neither opens an `np.errstate`: that costs as much as
+# the whole sigmoid on one chain's rows. The samplers and the harness call
+# the targets under one that ignores overflow.
 
 
 def _sigmoid(t, out=None):
@@ -380,64 +382,80 @@ def _sigmoid(t, out=None):
 
 
 def _regression_target(dataset: Dataset, g: float, kind: str) -> TargetModel:
-    """Posterior of a binary regression with link `kind` on the training rows;
-    its `test_likelihood` averages the link at (2y - 1) x'theta over the held-out rows."""
-    feats = dataset.features_train
-    y = dataset.labels_train
+    """Posterior of a binary regression with link `kind` on the training rows.
+
+    Each row's label y enters through its sign 2y - 1, folded into the
+    design once: with the signed rows a_i = (2y_i - 1) x_i and the linear
+    predictor u_i = a_i'theta, the likelihood of a row is F(u_i) for the
+    link's CDF F. So U = -sum log F(u_i) + |theta|^2 / (2g) and
+    grad U = -sum F'(u_i) / F(u_i) a_i + theta / g, one product by the
+    signed design and one by its negation. Multiplying by +-1 is exact, so a
+    y = 0 row rounds as it would with the label kept apart. Its
+    `test_likelihood` averages F(u) over the held-out rows, signed the same
+    way.
+    """
+    signed = (2.0 * dataset.labels_train - 1.0)[:, None] * dataset.features_train
+    # u = x @ signed_t; a contiguous (d, rows) copy runs the product faster
+    # than the transposed view of `signed`
+    signed_t = np.ascontiguousarray(signed.T)
+    neg_signed = -signed
     d = dataset.dim
     inv_g = 1.0 / g
 
     def prior_value(x):
         return 0.5 * inv_g * np.add.reduce(x * x, axis=-1)
 
+    def shared_u(x):
+        x = np.asarray(x, dtype=np.float64)
+        return x, x @ signed_t
+
     if kind == "logistic":
+        shared = shared_u
 
-        def shared(x):
-            x = np.asarray(x, dtype=np.float64)
-            return x, x @ feats.T
+        def value(x, u):
+            # -log sigmoid(u) = log(1 + exp(-u))
+            return np.add.reduce(np.logaddexp(0.0, -u), axis=-1) + prior_value(x)
 
-        def value(x, t):
-            return np.add.reduce(np.logaddexp(0.0, t) - y * t, axis=-1) + prior_value(x)
-
-        def grad(x, t):
-            # Overwrites t: `value_and_grad` calls `value` first, and nothing
-            # reads t after the gradient.
-            s = _sigmoid(t, out=t)
-            s -= y
-            return s @ feats + inv_g * x
+        def grad(x, u):
+            # sigmoid(-u) = 1 / (1 + exp(u)), written over u: `value_and_grad`
+            # calls `value` first, and nothing reads u after the gradient.
+            # Where exp(u) overflows (u above about 709) the weight is an
+            # exact 0.
+            w = np.exp(u, out=u)
+            w += 1.0
+            np.reciprocal(w, out=w)
+            return w @ neg_signed + inv_g * x
 
     elif kind == "probit":
         from scipy.special import log_ndtr, ndtr
 
         def shared(x):
-            x = np.asarray(x, dtype=np.float64)
-            t = x @ feats.T
-            return x, t, log_ndtr(t), log_ndtr(-t)
+            x, u = shared_u(x)
+            return x, u, log_ndtr(u)
 
-        def value(x, t, log_cdf_pos, log_cdf_neg):
-            return -np.add.reduce(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) \
-                + prior_value(x)
+        def value(x, u, log_cdf):
+            return -np.add.reduce(log_cdf, axis=-1) + prior_value(x)
 
-        def grad(x, t, log_cdf_pos, log_cdf_neg):
-            log_phi = -0.5 * t * t - _LOG_SQRT_2PI
-            dl_dt = y * np.exp(log_phi - log_cdf_pos) \
-                - (1.0 - y) * np.exp(log_phi - log_cdf_neg)
-            return -dl_dt @ feats + inv_g * x
+        def grad(x, u, log_cdf):
+            # the inverse Mills ratio phi(u) / Phi(u), taken in logs for the tails
+            log_phi = -0.5 * u * u - _LOG_SQRT_2PI
+            return np.exp(log_phi - log_cdf) @ neg_signed + inv_g * x
 
     else:
         raise ValueError(f"unknown regression kind {kind!r}")
 
-    signs = 2.0 * dataset.labels_test - 1.0
-    feats_test = dataset.features_test
+    # the transposed view, not a contiguous copy: a lone state's product then
+    # takes the matrix-vector route of states @ features_test.T and, signed,
+    # has its bits
+    signed_test_t = ((2.0 * dataset.labels_test - 1.0)[:, None] * dataset.features_test).T
 
     def test_likelihood(states):
-        t = np.asarray(states) @ feats_test.T
-        t *= signs
+        u = np.asarray(states) @ signed_test_t
         if kind == "probit":
-            return ndtr(t, out=t).mean(axis=1)
-        # far in the tail exp(-t) overflows and the sigmoid is an exact 0
+            return ndtr(u, out=u).mean(axis=1)
+        # far in the tail exp(-u) overflows and the sigmoid is an exact 0
         with np.errstate(over="ignore"):
-            return _sigmoid(t, out=t).mean(axis=1)
+            return _sigmoid(u, out=u).mean(axis=1)
 
     return replace(_make_target(d, shared, value, grad, f"{kind}-{dataset.label}"),
                    test_likelihood=test_likelihood, regression_kind=kind)

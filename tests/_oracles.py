@@ -3,6 +3,7 @@ computes a quantity by its definition, one lag, point, chain or dense matrix
 at a time. The package never imports this module."""
 
 import numpy as np
+from scipy.special import log_ndtr, ndtr
 
 from esvm.chains import ROLE_NORMAL, SeedKey, Trajectory, TrajectoryMeta
 from esvm.harness import VrfValue, _vrf_from_values
@@ -120,6 +121,39 @@ def finite_difference_gradient(potential, x, scale: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         out[i] = (potential(xp) - potential(xm)) / (2.0 * h)
     return out
+
+
+def unfolded_regression(dataset, g: float, kind: str, x):
+    """U and grad U of a logistic or probit posterior with the labels kept
+    apart from the design: the linear predictor t = X theta, and each row's
+    log-likelihood y log F(t) + (1 - y) log F(-t) for the link's CDF F.
+    States x of shape (d,) or (C, d)."""
+    feats, y = dataset.features_train, dataset.labels_train
+    x = np.asarray(x, dtype=np.float64)
+    t = x @ feats.T
+    prior = 0.5 / g * np.add.reduce(x * x, axis=-1)
+    if kind == "logistic":
+        value = np.add.reduce(np.logaddexp(0.0, t) - y * t, axis=-1) + prior
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-t))
+        return value, (s - y) @ feats + (1.0 / g) * x
+    log_cdf_pos, log_cdf_neg = log_ndtr(t), log_ndtr(-t)
+    value = -np.add.reduce(y * log_cdf_pos + (1.0 - y) * log_cdf_neg, axis=-1) + prior
+    log_phi = -0.5 * t * t - 0.5 * np.log(2.0 * np.pi)
+    dl_dt = y * np.exp(log_phi - log_cdf_pos) - (1.0 - y) * np.exp(log_phi - log_cdf_neg)
+    return value, -dl_dt @ feats + (1.0 / g) * x
+
+
+def unfolded_test_likelihood(dataset, kind: str, states):
+    """The average held-out likelihood by product then sign: t = X_test
+    theta, multiplied by 2y - 1, then the link's CDF averaged over the rows,
+    with the logistic sigmoid written as the package writes it."""
+    t = np.asarray(states) @ dataset.features_test.T
+    t *= 2.0 * dataset.labels_test - 1.0
+    if kind == "probit":
+        return ndtr(t).mean(axis=1)
+    with np.errstate(over="ignore"):
+        return (1.0 / (np.exp(-t) + 1.0)).mean(axis=1)
 
 
 def stein_value(family: SteinFamily, theta, x, grad_u_at_x) -> float:

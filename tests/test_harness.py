@@ -14,6 +14,7 @@ from esvm.harness import (
     ExperimentConfig,
     FunctionalSpec,
     VRFReport,
+    _along_chain,
     acf_dump,
     bn_sweep,
     emit_report,
@@ -21,6 +22,7 @@ from esvm.harness import (
     report_json,
     run_experiment,
 )
+from esvm.samplers import NOISE_BLOCK
 from esvm.variance import LagWindow
 
 from _oracles import ar1_reference, equals_modulo_run_info, vrf
@@ -192,14 +194,12 @@ class TestFunctionals:
 
 
 class TestChainGradients:
-    """`_gradients` evaluates grad U along a chain in blocks of NOISE_BLOCK
-    states; the blocks give the bits of one call on the whole chain."""
+    """`_along_chain` evaluates grad U, or the functional, along a chain in
+    blocks of NOISE_BLOCK states; the blocks give the bits of one call on the
+    whole chain."""
 
-    @pytest.mark.parametrize("kind", ["logistic", "banana"])
-    def test_blocks_equal_one_call_bit_for_bit(self, kind):
-        from esvm.harness import _gradients
-        from esvm.samplers import NOISE_BLOCK
-
+    @staticmethod
+    def _chain(kind):
         if kind == "logistic":
             target = esvm.logistic_target(esvm.synthetic_logistic_dataset(500, 8, 100, 90210))
             sampler = esvm.SamplerConfig("ula", 0.1, 3_200, esvm.SeedKey(7, 0), n_burn=200)
@@ -208,11 +208,25 @@ class TestChainGradients:
             sampler = esvm.SamplerConfig("rwm", 0.5, 3_200, esvm.SeedKey(7, 0), n_burn=200)
         chain, _ = esvm.sample_chain(sampler, target, np.zeros(target.dim))
         assert len(chain) == 3_000 > 2 * NOISE_BLOCK
+        return target, chain
+
+    @pytest.mark.parametrize("kind", ["logistic", "banana"])
+    def test_blocks_equal_one_call_bit_for_bit(self, kind):
+        target, chain = self._chain(kind)
         with np.errstate(over="ignore"):
             whole = target.gradient(chain.states)
-        got = _gradients(target, chain.states)
+        got = _along_chain(target.gradient, chain.states)
         assert got.shape == chain.states.shape
         assert np.array_equal(got, whole)
+
+    def test_evaluator_blocks_equal_one_call_bit_for_bit(self):
+        target, chain = self._chain("logistic")
+        cfg = _mini_config(target=target, functional=FunctionalSpec("test_likelihood"),
+                           family=esvm.SteinFamily("first_order", 8))
+        whole = cfg.evaluator(chain.states)
+        got = _along_chain(cfg.evaluator, chain.states)
+        assert got.shape == (len(chain),)
+        assert got.tobytes() == whole.tobytes()
 
 
 class TestRunExperiment:

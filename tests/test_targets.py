@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,12 @@ from esvm.targets import (
     synthetic_logistic_dataset,
 )
 
-from _oracles import ar1_reference, finite_difference_gradient
+from _oracles import (
+    ar1_reference,
+    finite_difference_gradient,
+    unfolded_regression,
+    unfolded_test_likelihood,
+)
 
 
 def _audit_gradient(target, probes, scale=2.0, seed=0, tol=1e-5):
@@ -333,6 +339,74 @@ class TestRegressionTargets:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValueError):
             build_dataset(np.eye(3), np.array([0.0, 0.5, 1.0]), k_test=1, seed=0)
+
+
+_REGRESSION = {"logistic": logistic_target, "probit": probit_target}
+
+
+class TestSignedDesign:
+    """The regression targets fold each label's sign 2y - 1 into the design;
+    the unfolded arithmetic of `_oracles` keeps y apart."""
+
+    @staticmethod
+    def _dataset():
+        ds = synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
+        for labels in (ds.labels_train, ds.labels_test):
+            assert 0 < labels.sum() < labels.size  # both labels present
+        return ds
+
+    @pytest.mark.parametrize("kind", sorted(_REGRESSION))
+    def test_value_and_gradient_match_the_unfolded_oracle(self, kind):
+        # ordinary points, and far-tail points where the logistic weight of
+        # some rows overflows to an exact 0; the gradient is compared with
+        # its largest entry, as entries near 0 lose digits by cancellation
+        ds = self._dataset()
+        target = _REGRESSION[kind](ds, g=100.0)
+        rng = np.random.default_rng(23)
+        batch = 2.0 * rng.standard_normal((25, ds.dim))
+        unit = batch / np.linalg.norm(batch, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            for pts in (batch, batch[0], 1e3 * unit, 1e4 * unit):
+                u, g = target.value_and_grad(pts)
+                ref_u, ref_g = unfolded_regression(ds, 100.0, kind, pts)
+                assert np.all(np.abs(u - ref_u) <= 1e-13 * np.abs(ref_u))
+                scale = np.abs(ref_g).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(g - ref_g) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("kind", sorted(_REGRESSION))
+    def test_held_out_likelihood_equals_product_then_sign_bit_for_bit(self, kind):
+        # multiplying by +-1 is exact, so folding the signs into the
+        # held-out design moves no bit, for a block of states or a lone one
+        # (a matrix-vector product); the last 50 states lie far in the tail
+        ds = self._dataset()
+        target = _REGRESSION[kind](ds)
+        states = np.random.default_rng(31).standard_normal((350, ds.dim))
+        states[:300] *= 2.0
+        states[300:] *= 1e4
+        for block in (states, states[:1], states[-1:]):
+            got = target.test_likelihood(block)
+            assert got.tobytes() == unfolded_test_likelihood(ds, kind, block).tobytes()
+
+    def test_logistic_rows_past_overflow_contribute_exactly_zero(self):
+        # rows of either label whose signed predictor u lies above 710, where
+        # exp(u) overflows: each weight 1 / (1 + exp(u)) is an exact 0, so
+        # with a prior of variance 1e300 the gradient is the prior's term
+        # alone, to the bit, although a weight as small as exp(-710) would
+        # show against it
+        ds = self._dataset()
+        x = np.random.default_rng(29).standard_normal(ds.dim)
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+        u = np.array([711.0, 711.0, 800.0, 1e3, 1.5e3, 2e3])
+        far = replace(ds, features_train=((2.0 * y - 1.0) * u)[:, None] * x / (x @ x),
+                      labels_train=y)
+        assert np.all((2.0 * y - 1.0) * (far.features_train @ x) > 710.0)
+        target = logistic_target(far, g=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                for pts in (x, np.stack([x, x])):
+                    got = target.gradient(pts)
+                    assert got.tobytes() == np.broadcast_to((1.0 / 1e300) * x, got.shape).tobytes()
 
 
 class TestDatasetStandardization:
