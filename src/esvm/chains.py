@@ -1,7 +1,7 @@
 """Chain trajectories: containers, ergodic averages, seeding, and file formats.
 
 A trajectory is an immutable (n, d) array of visited states plus provenance
-metadata.
+metadata and, where the kernel that made it kept them, grad U at its states.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -83,21 +84,32 @@ class Trajectory:
 
     states: np.ndarray
     meta: TrajectoryMeta = field(default_factory=TrajectoryMeta)
+    # grad U at each state, (n, d), where the kernel that made the chain kept
+    # it; only `adopt` sets it
+    gradients: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         arr = np.array(self.states, dtype=np.float64, order="C", copy=True)
         object.__setattr__(self, "states", _frozen_states(arr))
 
     @classmethod
-    def adopt(cls, states: np.ndarray, meta: TrajectoryMeta) -> "Trajectory":
-        """Wrap a C-ordered float64 array without copying it. Only for a
-        producer that made `states` for this trajectory alone and keeps no
-        writable reference to it; everyone else uses the copying constructor."""
+    def adopt(cls, states: np.ndarray, meta: TrajectoryMeta,
+              gradients: Optional[np.ndarray] = None) -> "Trajectory":
+        """Wrap a C-ordered float64 array, and any gradients, without copying
+        them. Only for a producer that made the arrays for this trajectory
+        alone and keeps no writable reference to them; everyone else uses the
+        copying constructor."""
         if states.dtype != np.float64 or not states.flags.c_contiguous:
             raise ValueError("adopted states must be C-ordered float64")
         traj = cls.__new__(cls)
         object.__setattr__(traj, "states", _frozen_states(states))
         object.__setattr__(traj, "meta", meta)
+        if gradients is not None:
+            if gradients.shape != traj.states.shape:
+                raise ValueError("adopted gradients must have the shape of the states")
+            gradients.flags.writeable = False
+        object.__setattr__(traj, "gradients", gradients)
         return traj
 
     @property

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EsvmError
 from .stein import SteinFamily, rbf_gradient, rbf_quantile_centers
-from .variance import LagWindow, _apply_window, long_run_covariance
+from .variance import LagWindow, _apply_window, centered_covariance
 
 MONOTONE_SLACK = 1e-9
 
@@ -170,6 +170,15 @@ def evm_objective(theta, design: DesignSet):
 OBJECTIVES = {"esvm": esvm_objective, "evm": evm_objective}
 
 
+def _running_means(a: np.ndarray) -> np.ndarray:
+    """Means over the states (axis 0) of an (n, k) block, each column summed
+    state after state, as numpy sums the columns of a block of two or more;
+    a lone column it would sum pairwise."""
+    if a.shape[1] > 1:
+        return a.mean(axis=0)
+    return np.cumsum(a[:, 0])[-1:] / a.shape[0]
+
+
 def default_ridge(normal_matrix: np.ndarray) -> float:
     trace = float(np.trace(normal_matrix))
     p = normal_matrix.shape[0]
@@ -197,8 +206,12 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
     objective = OBJECTIVES[objective_kind]
     p = design.n_params
     window, scale = _criterion(design, objective_kind)
-    cov = scale * long_run_covariance(np.column_stack([design.f_values, design.features]),
-                                      window)
+    # Ŝ of [f, Ψ] from their centered block Z_c', built at once instead of
+    # from a stacked (n, p + 1) copy, with the stacked block's means
+    c = np.empty((p + 1, design.n))
+    np.subtract(design.f_values, _running_means(design.f_values[:, None]), out=c[0])
+    np.subtract(design.features.T, _running_means(design.features)[:, None], out=c[1:])
+    cov = scale * centered_covariance(c, window)
     normal, rhs, value_zero = cov[1:, 1:], cov[1:, 0], float(cov[0, 0])
     if ridge is None:
         ridge = default_ridge(normal)

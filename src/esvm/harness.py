@@ -20,8 +20,12 @@ chain is sampled); both then only aggregate the rows into a report.
 `bn_sweep` fits esvm at each training truncation of the one design and reads
 each row's mean VRF and infinite count from the per-fit summary a report's
 methods use. The configuration builds its functional's evaluator once, and
-`_along_chain` evaluates it and grad U along every chain, training and test
-alike, a block of states at a time.
+`_along_chain` evaluates it along every chain, training and test alike, a
+block of states at a time. grad U along a chain comes from the sampler where
+ULA runs on a regression posterior: ULA computes it at every state it leaves,
+and only that target's gradient reads a data set, so only there do the kept
+rows pay for the second copy of the states they cost. Every other chain has
+grad U evaluated along it through `_along_chain`.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -56,9 +60,9 @@ SCHEMA_VERSION = 1
 # chains; the sampler's memory beyond the kept states does not grow with it.
 DEFAULT_BATCH_SIZE = 100
 
-# Most bytes of kept test-chain states one batch may hold. Batches of long
-# chains are cut below batch_size to stay within it: 41 chains of 100 000
-# two-dimensional states.
+# Most bytes of kept test-chain states, and of the grad U rows kept beside
+# them, one batch may hold. Batches of long chains are cut below batch_size
+# to stay within it: 41 chains of 100 000 two-dimensional states.
 TEST_BATCH_BYTES = 64 * 2**20
 
 
@@ -317,21 +321,42 @@ def train_chain(config: ExperimentConfig):
     return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
 
 
+def _keeps_gradients(config: ExperimentConfig) -> bool:
+    """Whether the sampler keeps grad U at each kept state: ULA on a
+    regression posterior, whose gradient reads the whole data set per state."""
+    return config.sampler_kind == "ula" and config.target.regression_kind is not None
+
+
 def _along_chain(fn, states: np.ndarray) -> np.ndarray:
-    """fn at each of a chain's states, NOISE_BLOCK states per call, stacked
-    along the first axis: the grad U rows (target.gradient) or the functional's
-    values (config.evaluator). A regression posterior's rows of its data per
-    state, and its likelihood's held-out rows, are then held for one block
-    at a time. Overflow is ignored, as in the samplers: far in the tail the
-    logistic sigmoid's exp overflows where the sigmoid is an exact 0."""
+    """fn at each of a chain's states, about NOISE_BLOCK states per call,
+    stacked along the first axis: the grad U rows (target.gradient) or the
+    functional's values (config.evaluator). A regression posterior's rows of
+    its data per state, and its likelihood's held-out rows, are then held for
+    one block at a time. No block holds a lone state of a longer chain (the
+    last block takes it), so a regression posterior's rows all go through
+    its matrix-matrix product and have the bits of one call on the chain.
+    Overflow is ignored, as in the samplers: far in the tail the logistic
+    sigmoid's exp overflows where the sigmoid is an exact 0."""
+    n = len(states)
+    bounds = list(range(0, n, NOISE_BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     out = None
     with np.errstate(over="ignore"):
-        for lo in range(0, len(states), NOISE_BLOCK):
-            block = fn(states[lo : lo + NOISE_BLOCK])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            block = fn(states[lo:hi])
             if out is None:
-                out = np.empty((len(states),) + block.shape[1:], dtype=block.dtype)
-            out[lo : lo + NOISE_BLOCK] = block
+                out = np.empty((n,) + block.shape[1:], dtype=block.dtype)
+            out[lo:hi] = block
     return out
+
+
+def _chain_gradients(config: ExperimentConfig, chain: Trajectory) -> np.ndarray:
+    """grad U at each state of a chain: the rows its sampler kept, or else
+    evaluated along it."""
+    if chain.gradients is not None:
+        return chain.gradients
+    return _along_chain(config.target.gradient, chain.states)
 
 
 def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
@@ -339,7 +364,7 @@ def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow)
     the family's features (or, for the bump family, its response oracle) and
     the lag window of the spectral criterion."""
     f_values = _along_chain(config.evaluator, train.states)
-    grads = _along_chain(config.target.gradient, train.states)
+    grads = _chain_gradients(config, train)
     if config.family.linear:
         psi = feature_matrix(config.family, train.states, grads)
         return DesignSet(f_values=f_values, window=window, features=psi)
@@ -358,10 +383,11 @@ def fit_methods(config: ExperimentConfig, design: DesignSet) -> dict:
 
 
 def _chains_per_batch(config: ExperimentConfig) -> int:
-    """batch_size, cut so that a batch's kept states fit in TEST_BATCH_BYTES
-    (at least one chain). Depends on the configuration only, never on threads;
-    each worker thread holds one batch."""
-    per_chain = 8 * config.n_test * config.target.dim
+    """batch_size, cut so that a batch's kept states, and any grad U rows the
+    sampler keeps beside them, fit in TEST_BATCH_BYTES (at least one chain).
+    Depends on the configuration only, never on threads; each worker thread
+    holds one batch."""
+    per_chain = (16 if _keeps_gradients(config) else 8) * config.n_test * config.target.dim
     return max(1, min(config.batch_size, TEST_BATCH_BYTES // per_chain))
 
 
@@ -376,12 +402,14 @@ def _sample_batch(config: ExperimentConfig, streams, with_train: bool = False) -
     """Sample test chains `streams` (n_burn + n_test states each) in one
     lock-step call. With with_train, the training chain (stream 0, n_burn +
     n_train states) rides in the same call, first. Returns one (stream,
-    trajectory, stats) per chain."""
+    trajectory, stats) per chain; the trajectories carry grad U where the
+    configuration keeps it."""
     sampler = _sampler(config, config.n_test)
     lead = [0] if with_train else []
     lengths = [config.n_burn + config.n_train] * len(lead) + [sampler.n_steps] * len(streams)
     streams = lead + list(streams)
-    out = sample_chains(sampler, config.target, streams, config.start_point(), n_steps=lengths)
+    out = sample_chains(sampler, config.target, streams, config.start_point(), n_steps=lengths,
+                        keep_gradients=_keeps_gradients(config))
     return [(stream, chain, stats) for stream, (chain, stats) in zip(streams, out)]
 
 
@@ -394,7 +422,7 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
         f_values = _along_chain(config.evaluator, chain.states)
         series = [f_values]
         if fits:
-            grads = _along_chain(config.target.gradient, chain.states)
+            grads = _chain_gradients(config, chain)
             series += [f_values - stein_values(config.family, result.theta, chain.states, grads)
                        for result in fits.values()]
         v_plain, *v_adjusted = spectral_variance(np.stack(series), window).value
@@ -434,10 +462,14 @@ def _experiment(config: ExperimentConfig, fit_stage=None, fits: Optional[dict] =
     if fit_stage is not None:
         _, train, train_stats = first.pop(0)
         with _Stage("fit", timings):
-            fits = fit_stage(build_design(config, train, LagWindow(config.train_truncation)))
-        # The training states may be a view of the first batch's array; drop
-        # them so that the array is released once the first batch is scored.
-        del train
+            design = build_design(config, train, LagWindow(config.train_truncation))
+            # The design holds what the fit reads; the training states (and
+            # any kept grad U rows) are dropped before it runs. They may be a
+            # view of the first batch's array, which is then released once
+            # the first batch is scored.
+            del train
+            fits = fit_stage(design)
+        del design
     window = LagWindow(config.test_truncation)
 
     def evaluate(streams):
@@ -519,10 +551,11 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
 def _report(config: ExperimentConfig, fits: dict, rows: list, train_stats,
             timings: dict) -> VRFReport:
     """Aggregate a pipeline's output; then record the stage wall and CPU
-    timings, aggregation included, and the chain-steps (states per chain,
-    burn-in included, summed over chains) each sampling stage advanced:
-    `train-sampling` the first test batch and any training chain,
-    `test-evaluation` the later batches."""
+    timings, aggregation included, the chain-steps (states per chain,
+    burn-in included, summed over chains) each sampling stage advanced
+    (`train-sampling` the first test batch and any training chain,
+    `test-evaluation` the later batches), and the grad U rows evaluated again
+    along the chains."""
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
     per_test = config.n_burn + config.n_test
@@ -534,6 +567,11 @@ def _report(config: ExperimentConfig, fits: dict, rows: list, train_stats,
                            + n_first * per_test),
         "test-evaluation": (config.n_test_chains - n_first) * per_test,
     }
+    # grad U rows evaluated along the training and test chains after they
+    # were sampled: none where the sampler kept its own
+    report.run_info["grad_rows_along_chains"] = 0 if _keeps_gradients(config) else (
+        (config.n_train if train_stats else 0)
+        + (config.n_test_chains * config.n_test if fits else 0))
     return report
 
 

@@ -16,7 +16,9 @@ only for the chains still running in a block, so a chain that has finished
 costs nothing more. Burn-in states are never stored, so a run holds only its
 kept states plus buffers whose size does not grow with the chain length. The
 one chain left in a segment steps in Python floats, with the bits it would
-have in a batch.
+have in a batch. On request ULA also keeps grad U at each kept state, the
+rows its steps compute anyway, so that a caller need not evaluate the
+gradient along the chain again.
 """
 
 from __future__ import annotations
@@ -133,15 +135,19 @@ def _squared_distance(a, b):
     return float(np.add.reduce(diff * diff))
 
 
-def _lone_ula(target, gamma, x, slots):
+def _lone_ula(target, gamma, x, slots, grads=None):
     """ULA steps of the one chain left in a segment: `x` is its (d,) state and
-    `slots` its (d,) noise slots. Returns the last state.
+    `slots` its (d,) noise slots. Returns the last state. With `grads`, a
+    (len(slots), d) array, row t receives grad U at the state step t leaves.
 
     Each new state, noise + (x - g gamma), is formed in Python floats in the
     batched loop's order of operations, so it has the batched loop's bits."""
     xs = x.tolist()
-    for nxt in slots:
-        g = target.gradient(x).tolist()
+    for t, nxt in enumerate(slots):
+        g = target.gradient(x)
+        if grads is not None:
+            grads[t] = g
+        g = g.tolist()
         xs = [z + (xi - gi * gamma) for z, xi, gi in zip(nxt.tolist(), xs, g)]
         nxt[...] = xs
         x = nxt
@@ -202,15 +208,24 @@ def _lone_rwm(target, x, slots, log_us, u_x):
     return x, u_x, finite, taken
 
 
+def _last_gradients(target, kept, grads):
+    """grad U at the last kept state of every chain, one call per run of
+    equal lengths: no step leaves that state, so no step computed it."""
+    with np.errstate(over="ignore"):
+        for arr, out in zip(kept, grads):
+            out[:, -1] = target.gradient(arr[:, -1])
+
+
 def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: int,
-              x0: np.ndarray, keys: Sequence[SeedKey]):
+              x0: np.ndarray, keys: Sequence[SeedKey], keep_gradients: bool = False):
     """Advance len(keys) chains in lock-step, chain i for lengths[i] states
     (x0 is state 0). The lengths must not increase along the chains, so the
     chains still running at any step are the leading rows of the batch: a
     chain leaves the batch after its last state. Returns each chain's kept
     states, (lengths[i] - n_burn, d), as views of one chain-major array per
-    run of equal lengths, and per-chain accept and non-finite-ratio counts;
-    the counts cover all lengths[i] - 1 proposals, burn-in included.
+    run of equal lengths, the same for grad U at those states (ULA with
+    keep_gradients; None otherwise), and per-chain accept and non-finite-ratio
+    counts; the counts cover all lengths[i] - 1 proposals, burn-in included.
 
     Each step writes its new states over its own, already used, slot of the
     time-major noise block, so every per-step slice is contiguous and the
@@ -230,6 +245,10 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     into log u once per noise block; the second is |x - drift(y)|^2 with
     drift(y) = y - gamma g(y), which becomes the current drift on acceptance
     and builds the next proposal.
+
+    ULA computes grad U at every state it leaves. With keep_gradients each
+    step past the burn-in writes those rows into a chain-major array beside
+    the kept states, and one more call per run gives the last state's.
     """
     gamma = float(gamma)
     four_gamma = 4.0 * gamma
@@ -245,6 +264,7 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
         else:
             runs.append([i, i + 1, n])
     kept = [np.empty((hi - lo, n - n_burn, d)) for lo, hi, n in runs]
+    grads = [np.empty_like(arr) for arr in kept] if keep_gradients else None
     x = np.empty((n_chains, d))
     x[...] = x0
     if n_burn == 0:
@@ -253,8 +273,11 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
     accepted = np.zeros(n_chains, dtype=np.int64)
     nonfinite = np.zeros(n_chains, dtype=np.int64)
     chains = [chain for arr in kept for chain in arr]
+    chain_grads = [rows for arr in grads for rows in arr] if keep_gradients else None
     if m == 0:
-        return chains, accepted, nonfinite
+        if keep_gradients:
+            _last_gradients(target, kept, grads)
+        return chains, chain_grads, accepted, nonfinite
 
     size = min(NOISE_BLOCK, m)
     if kind == "ula":
@@ -301,18 +324,31 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
             lo, hi = start + 1, start + 1 + len(noise)
             # Segments of the block with a fixed number k of running chains:
             # the batch shrinks after each chain's last step.
-            cuts = sorted({s + 1 - lo for s in steps if lo <= s < hi - 1})
-            bounds = [0] + cuts + [len(noise)]
+            cuts = {s + 1 - lo for s in steps if lo <= s < hi - 1}
+            if keep_gradients and start < n_burn < hi - 1:
+                # segments lie wholly in the burn-in or wholly past it
+                cuts.add(n_burn - start)
+            bounds = [0] + sorted(cuts) + [len(noise)]
             for j0, j1 in zip(bounds[:-1], bounds[1:]):
                 k = sum(s >= lo + j0 for s in steps)
                 x = x[:k]
                 if kind == "ula":
+                    # (kept rows, first chain, end chain) of each run in the
+                    # segment, when its states are kept
+                    first = start + j0 - n_burn
+                    sinks = [] if not keep_gradients or first < 0 else [
+                        (arr[: min(r1, k) - r0], r0, min(r1, k))
+                        for arr, (r0, r1, _) in zip(grads, runs) if r0 < k]
                     if k == 1:
-                        x = _lone_ula(target, gamma, x[0], noise[j0:j1, 0])[None]
+                        lone = sinks[0][0][0, first : first + j1 - j0] if sinks else None
+                        x = _lone_ula(target, gamma, x[0], noise[j0:j1, 0], lone)[None]
                     else:
                         drift_k = drift[:k]
-                        for nxt in noise[j0:j1, :k]:
-                            np.multiply(target.gradient(x), gamma, out=drift_k)
+                        for t, nxt in enumerate(noise[j0:j1, :k], first):
+                            g = target.gradient(x)
+                            for rows, r0, r1 in sinks:
+                                rows[:, t] = g[r0:r1]
+                            np.multiply(g, gamma, out=drift_k)
                             np.subtract(x, drift_k, out=drift_k)
                             nxt += drift_k
                             x = nxt
@@ -383,7 +419,9 @@ def _simulate(kind: str, target, gamma: float, lengths: Sequence[int], n_burn: i
                         noise[first - lo : last - lo, r0:r1].transpose(1, 0, 2))
             # the next block is drawn into the same buffer
             x = x.copy()
-    return chains, accepted, nonfinite
+        if keep_gradients:
+            _last_gradients(target, kept, grads)
+    return chains, chain_grads, accepted, nonfinite
 
 
 def _check_x0(target, x0) -> np.ndarray:
@@ -409,7 +447,7 @@ def sample_chain(config: SamplerConfig, target, x0=None):
 
 
 def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None,
-                  n_steps: Optional[Sequence[int]] = None):
+                  n_steps: Optional[Sequence[int]] = None, keep_gradients: bool = False):
     """Run one chain per stream index, identical in law and in outcome to
     calling `sample_chain` per stream, but advanced together for speed.
 
@@ -418,7 +456,16 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
     batch after its last state and draws noise for its own steps only, so it
     equals `sample_chain` run with its own length. The trajectories are
     read-only views of one (C, n, d) array per run of equal lengths, so the
-    kept states are held once."""
+    kept states are held once.
+
+    With keep_gradients (ULA only) each trajectory also carries, as
+    `gradients`, grad U at each kept state: the rows the steps computed,
+    plus one call for the last state. They are the target's rows for a batch
+    of the chains running at each step, so a regression posterior's rows may
+    differ from one call on the chain in the last bits. The kept rows cost a
+    second (C, n, d) array."""
+    if keep_gradients and config.kind != "ula":
+        raise ValueError("only ULA keeps the gradients it computes")
     x0 = _check_x0(target, x0)
     lengths = [config.n_steps] * len(streams) if n_steps is None else [int(n) for n in n_steps]
     if len(lengths) != len(streams):
@@ -429,9 +476,9 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
         return []
     # longest chains first, so that the chains still running are the leading rows
     order = sorted(range(len(streams)), key=lambda i: -lengths[i])
-    kept, accepted, nonfinite = _simulate(
+    kept, grads, accepted, nonfinite = _simulate(
         config.kind, target, config.gamma, [lengths[i] for i in order], config.n_burn, x0,
-        [config.seed.with_stream(streams[i]) for i in order],
+        [config.seed.with_stream(streams[i]) for i in order], keep_gradients,
     )
     out = [None] * len(streams)
     for j, i in enumerate(order):
@@ -448,5 +495,5 @@ def sample_chains(config: SamplerConfig, target, streams: Sequence[int], x0=None
             seed_stream=streams[i],
             burn_in_removed=config.n_burn > 0,
         )
-        out[i] = (Trajectory.adopt(kept[j], meta), stats)
+        out[i] = (Trajectory.adopt(kept[j], meta, grads[j] if grads else None), stats)
     return out

@@ -109,8 +109,13 @@ def feature_matrix(family: SteinFamily, states, grads) -> np.ndarray:
         return -grads.copy()
     d = family.dim
     n = states.shape[0]
-    quad = -grads[:, :, None] * states[:, None, :] + np.eye(d)[None, :, :]
-    return np.hstack([-grads, quad.reshape(n, d * d)])
+    # written into the (n, d + d^2) result, with no (n, d, d) temporary
+    out = np.empty((n, d + d * d))
+    np.negative(grads, out=out[:, :d])
+    quad = out[:, d:].reshape(n, d, d)
+    np.multiply(out[:, :d, None], states[:, None, :], out=quad)
+    quad += np.eye(d)
+    return out
 
 
 def rbf_gradient(family: SteinFamily, theta, x, grad_u_at_x) -> np.ndarray:

@@ -5,9 +5,10 @@ autocovariances. It is algebraically a quadratic form z' A z with
 A = P W P / n, where P is the centering projector and W the banded Toeplitz
 matrix of window weights. One private operator applies W to centered series
 by convolution; `long_run_covariance` builds the windowed covariance matrix
-Z_c' W Z_c / n of a block of columns from it, and `spectral_variance` is
-its diagonal. The sample variance is the one-lag window rescaled to divisor
-n - 1. No path materializes W or A.
+Z_c' W Z_c / n of a block of columns from it (`centered_covariance` from
+Z_c' itself), and `spectral_variance` is its diagonal. The sample variance
+is the one-lag window rescaled to divisor n - 1. No path materializes W or
+A.
 """
 
 from __future__ import annotations
@@ -129,9 +130,16 @@ def long_run_covariance(z: np.ndarray, window: LagWindow) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("block must be (n, k)")
-    n = z.shape[0]
+    _check_length(z.shape[0], window)
+    return centered_covariance(np.subtract(z.T, z.mean(axis=0)[:, None], order="C"), window)
+
+
+def centered_covariance(c: np.ndarray, window: LagWindow) -> np.ndarray:
+    """`long_run_covariance` of a block already centered and transposed: c is
+    the C-ordered (k, n) array Z_c', one centered series per row. A caller
+    that builds Z_c' itself holds the block once, not twice."""
+    n = c.shape[1]
     _check_length(n, window)
-    c = np.subtract(z.T, z.mean(axis=0)[:, None], order="C")
     # W Z_c is formed about 1 MiB of columns at a time, which keeps the
     # working set near one copy of the block
     step = max(1, (1 << 17) // n)

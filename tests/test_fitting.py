@@ -176,6 +176,34 @@ class TestSolveLinear:
         res = solve_linear(design, "esvm", ridge=0.0)
         np.testing.assert_allclose(res.theta, dense_theta, atol=1e-6)
 
+    @pytest.mark.parametrize("p", [1, 2, 6, 72])
+    @pytest.mark.parametrize("kind", ["esvm", "evm"])
+    def test_normal_matrix_is_the_stacked_blocks_bit_for_bit(self, monkeypatch, p, kind):
+        # the fit centers [f, Ψ] into one (p + 1, n) block; its Ŝ has the
+        # bits of long_run_covariance on the stacked (n, p + 1) block, whose
+        # column means numpy sums state by state (a lone column of Ψ it
+        # would sum pairwise)
+        import esvm.fitting as fitting
+        from esvm.variance import long_run_covariance
+
+        rng = np.random.default_rng(17 + p)
+        n = 5_003
+        f = 40.0 + rng.standard_normal(n).cumsum() * 0.1 + rng.standard_normal(n)
+        psi = 3.0 + rng.standard_normal((n, p))
+        design = DesignSet(f_values=f, window=LagWindow(30), features=psi)
+        seen = []
+        centered = fitting.centered_covariance
+
+        def keeping(c, window):
+            seen.append((window, centered(c, window)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(fitting, "centered_covariance", keeping)
+        solve_linear(design, kind)
+        (window, got), = seen
+        want = long_run_covariance(np.column_stack([f, psi]), window)
+        assert got.tobytes() == want.tobytes()
+
     def test_scalar_quadratic_minimizer(self):
         # p = 1: the optimum has the closed form (psi' A f) / (psi' A psi)
         rng = np.random.default_rng(13)

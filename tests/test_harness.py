@@ -49,6 +49,14 @@ def _mini_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def _logistic_overrides(n_features=8):
+    """_mini_config fields for a small logistic posterior scored on its test
+    likelihood."""
+    ds = esvm.synthetic_logistic_dataset(200, n_features, k_test=40, seed=3)
+    return dict(target=esvm.logistic_target(ds), functional=FunctionalSpec("test_likelihood"),
+                family=esvm.SteinFamily("first_order", n_features))
+
+
 @pytest.fixture(scope="module")
 def mini_report():
     return run_experiment(_mini_config())
@@ -163,15 +171,16 @@ class TestFunctionals:
         assert cfg.describe()["regression_kind"] == kind
         assert _mini_config().describe()["regression_kind"] is None
 
-    def test_rebuilt_config_keeps_the_test_likelihood(self, tmp_path):
-        # the way a traced benchmark run rebuilds a loaded configuration
+    @staticmethod
+    def _rebuilt_runs(tmp_path, **overrides):
+        """Run a logistic configuration and the same configuration rebuilt the
+        way a traced benchmark run rebuilds a loaded one, with its gradient
+        wrapped; check that both write the same files, and return the row
+        count of every call that went through the wrapper."""
         from dataclasses import replace
 
-        ds = esvm.synthetic_logistic_dataset(200, 5, k_test=40, seed=3)
-        cfg = _mini_config(target=esvm.logistic_target(ds),
-                           functional=FunctionalSpec("test_likelihood"),
-                           family=esvm.SteinFamily("first_order", 5), n_train=600,
-                           n_test=600, n_test_chains=3, b_n_train=6)
+        cfg = _mini_config(n_train=600, n_test=600, n_test_chains=3, b_n_train=6,
+                           **_logistic_overrides(5), **overrides)
         rows = []
 
         def wrapped(x):
@@ -184,13 +193,23 @@ class TestFunctionals:
         assert rebuilt.evaluator is rebuilt.target.test_likelihood is not None
         emit_report(run_experiment(cfg), tmp_path / "a")
         emit_report(run_experiment(rebuilt), tmp_path / "b")
-        assert 600 in rows  # the harness evaluated a whole chain through the wrapper
         for name in ("vrf.csv", "boxplot.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         a = json.loads((tmp_path / "a/report.json").read_text())
         b = json.loads((tmp_path / "b/report.json").read_text())
         a.pop("run_info"), b.pop("run_info")
         assert a == b and a["config"]["regression_kind"] == "logistic"
+        return rows
+
+    def test_rebuilt_config_keeps_the_test_likelihood(self, tmp_path):
+        rows = self._rebuilt_runs(tmp_path)
+        # ULA keeps the posterior's gradient rows as it computes them: every
+        # call went through the wrapper, and none was made on a whole chain
+        assert rows and 600 not in rows
+
+    def test_rebuilt_rwm_config_evaluates_the_gradient_along_chains(self, tmp_path):
+        rows = self._rebuilt_runs(tmp_path, sampler_kind="rwm", gamma=0.05)
+        assert 600 in rows  # the harness evaluated a whole chain through the wrapper
 
 
 class TestChainGradients:
@@ -212,12 +231,16 @@ class TestChainGradients:
 
     @pytest.mark.parametrize("kind", ["logistic", "banana"])
     def test_blocks_equal_one_call_bit_for_bit(self, kind):
+        # 1 025 and 2 049 states end one state past a block: the last block
+        # takes that state, which alone would take the matrix-vector route
         target, chain = self._chain(kind)
-        with np.errstate(over="ignore"):
-            whole = target.gradient(chain.states)
-        got = _along_chain(target.gradient, chain.states)
-        assert got.shape == chain.states.shape
-        assert np.array_equal(got, whole)
+        for n in (len(chain), NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 1):
+            states = chain.states[:n]
+            with np.errstate(over="ignore"):
+                whole = target.gradient(states)
+            got = _along_chain(target.gradient, states)
+            assert got.shape == states.shape
+            assert np.array_equal(got, whole), n
 
     def test_evaluator_blocks_equal_one_call_bit_for_bit(self):
         target, chain = self._chain("logistic")
@@ -227,6 +250,69 @@ class TestChainGradients:
         got = _along_chain(cfg.evaluator, chain.states)
         assert got.shape == (len(chain),)
         assert got.tobytes() == whole.tobytes()
+
+
+class TestKeptGradients:
+    """ULA on a regression posterior scores the grad U rows its sampler kept;
+    every other configuration evaluates grad U along its chains."""
+
+    def test_kept_only_for_ula_on_a_regression_posterior(self):
+        from esvm.harness import _keeps_gradients
+
+        ds = esvm.synthetic_logistic_dataset(60, 3, k_test=10, seed=4)
+        assert _keeps_gradients(_mini_config(**_logistic_overrides()))
+        assert _keeps_gradients(_mini_config(**{**_logistic_overrides(3),
+                                                "target": esvm.probit_target(ds)}))
+        for kind in ("mala", "rwm"):
+            assert not _keeps_gradients(_mini_config(sampler_kind=kind, gamma=0.05,
+                                                     **_logistic_overrides()))
+        assert not _keeps_gradients(_mini_config())
+
+    def test_kept_rows_score_as_rows_evaluated_along_chains(self, monkeypatch):
+        # the training chain runs its tail alone past the test chains; the
+        # fits and VRFs from the kept rows equal those from grad U evaluated
+        # again along every chain, up to the rows' rounding
+        import esvm.harness as harness
+
+        cfg = _mini_config(n_train=2500, n_test=1200, n_test_chains=6, b_n_train=10,
+                           **_logistic_overrides(5))
+        kept = run_experiment(cfg)
+        monkeypatch.setattr(harness, "_keeps_gradients", lambda config: False)
+        again = run_experiment(cfg)
+        assert kept.vanilla == again.vanilla
+        for a, b in zip(kept.methods, again.methods):
+            np.testing.assert_allclose(a.family["params"], b.family["params"], rtol=1e-9)
+            np.testing.assert_allclose(a.vrf, b.vrf, rtol=1e-9)
+            assert a.infinite == b.infinite and a.fit["converged"] == b.fit["converged"]
+
+    @pytest.mark.parametrize("case", ["logistic-ula", "logistic-rwm", "mixture-ula",
+                                      "mixture-evaluate"])
+    def test_rows_evaluated_along_chains_recorded(self, monkeypatch, mini_report, case):
+        import esvm.harness as harness
+
+        if case.startswith("logistic"):
+            kind, gamma = ("ula", 0.1) if case == "logistic-ula" else ("rwm", 0.05)
+            cfg = _mini_config(sampler_kind=kind, gamma=gamma, n_train=700, n_test=500,
+                               n_test_chains=5, b_n_train=6, **_logistic_overrides(5))
+        else:
+            cfg = _mini_config(n_train=700, n_test=500, n_test_chains=5, b_n_train=6)
+        counted = []
+        along = harness._along_chain
+
+        def counting(fn, states):
+            if fn is cfg.target.gradient:
+                counted.append(len(states))
+            return along(fn, states)
+
+        monkeypatch.setattr(harness, "_along_chain", counting)
+        if case == "mixture-evaluate":
+            thetas = {m.method: m.family["params"] for m in mini_report.methods}
+            report = harness.evaluate_with_parameters(cfg, thetas)
+            expected = 5 * 500
+        else:
+            report = run_experiment(cfg)
+            expected = 0 if case == "logistic-ula" else 700 + 5 * 500
+        assert report.run_info["grad_rows_along_chains"] == sum(counted) == expected
 
 
 class TestRunExperiment:
@@ -353,10 +439,11 @@ class TestStageTimings:
         calls = []
         sample_chains, fit = harness.sample_chains, harness.fit
 
-        def many(config, target, streams, x0=None, n_steps=None):
+        def many(config, target, streams, x0=None, n_steps=None, keep_gradients=False):
             lengths = [config.n_steps] * len(streams) if n_steps is None else n_steps
             calls.append(dict(zip(streams, lengths)))
-            return sample_chains(config, target, streams, x0, n_steps=n_steps)
+            return sample_chains(config, target, streams, x0, n_steps=n_steps,
+                                 keep_gradients=keep_gradients)
 
         def fitting(*args, **kwargs):
             calls.append("fit")
@@ -469,6 +556,11 @@ class TestBatching:
         assert _chains_per_batch(_mini_config(batch_size=100, n_test=100_000)) == 41
         assert _chains_per_batch(_mini_config(batch_size=100, n_test=10**8)) == 1
         assert _chains_per_batch(_mini_config(batch_size=4, n_test=100_000)) == 4
+        # ULA on a regression posterior keeps grad U beside each state, so a
+        # chain counts 16 bytes per coordinate: 5 chains of 100 000 8-D states
+        logistic = dict(_logistic_overrides(), batch_size=100, n_test=100_000)
+        assert _chains_per_batch(_mini_config(**logistic)) == 5
+        assert _chains_per_batch(_mini_config(sampler_kind="rwm", gamma=0.05, **logistic)) == 10
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_long_chains_split_into_smaller_batches(self, monkeypatch, threads):
@@ -479,9 +571,10 @@ class TestBatching:
         calls = []
         sample = harness.sample_chains
 
-        def counting(config, target, streams, x0=None, n_steps=None):
+        def counting(config, target, streams, x0=None, n_steps=None, keep_gradients=False):
             calls.append(list(streams))
-            return sample(config, target, streams, x0, n_steps=n_steps)
+            return sample(config, target, streams, x0, n_steps=n_steps,
+                          keep_gradients=keep_gradients)
 
         reference = run_experiment(cfg)
         monkeypatch.setattr(harness, "sample_chains", counting)
@@ -506,9 +599,10 @@ class TestBnSweep:
         calls = []
         sample = harness.sample_chains
 
-        def counting(config, target, streams, x0=None, n_steps=None):
+        def counting(config, target, streams, x0=None, n_steps=None, keep_gradients=False):
             calls.append(list(streams))
-            return sample(config, target, streams, x0, n_steps=n_steps)
+            return sample(config, target, streams, x0, n_steps=n_steps,
+                          keep_gradients=keep_gradients)
 
         monkeypatch.setattr(harness, "sample_chains", counting)
         rows = bn_sweep(cfg, values)

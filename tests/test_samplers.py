@@ -558,6 +558,65 @@ class TestSampleChain:
         SamplerConfig("ula", 0.1, 10, SeedKey(0, 0), n_burn=9)
 
 
+class TestKeptGradients:
+    """ULA with keep_gradients keeps grad U at each kept state beside it: the
+    rows its steps computed, and one more call for the last state."""
+
+    @staticmethod
+    def _run(target, lengths, n_burn, x0=None, seed=44):
+        cfg = SamplerConfig("ula", 0.1, lengths[0], SeedKey(seed, 0), n_burn=n_burn)
+        streams = list(range(len(lengths)))
+        kept = sample_chains(cfg, target, streams, x0, n_steps=lengths, keep_gradients=True)
+        plain = sample_chains(cfg, target, streams, x0, n_steps=lengths)
+        for (traj, stats), (ref, ref_stats), n in zip(kept, plain, lengths):
+            np.testing.assert_array_equal(traj.states, ref.states)
+            assert stats == ref_stats and ref.gradients is None
+            assert traj.gradients.shape == (n - n_burn, target.dim)
+            assert traj.gradients.flags.c_contiguous and not traj.gradients.flags.writeable
+        return [traj for traj, _ in kept]
+
+    @pytest.mark.parametrize("make", [logistic_target, probit_target])
+    @pytest.mark.parametrize("lengths, n_burn", [
+        (RAGGED_LENGTHS, 0),
+        (RAGGED_LENGTHS, 250),
+        ([3 * NOISE_BLOCK + 7, NOISE_BLOCK + 300, NOISE_BLOCK + 300], NOISE_BLOCK + 100),
+    ], ids=["no-burn-in", "burn-in-in-first-block", "burn-in-in-second-block"])
+    def test_regression_rows_match_the_target(self, make, lengths, n_burn):
+        # the longest chain runs its tail alone, the chains cross noise-block
+        # boundaries, and no step leaves the last kept state. The rows come
+        # from products over the chains running at each step, so each lies
+        # within rounding of the row's largest entry, not bit for bit
+        target = make(synthetic_logistic_dataset(), 100.0)
+        for traj in self._run(target, lengths, n_burn):
+            want = target.gradient(traj.states)
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(traj.gradients - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("name", sorted(LOCK_STEP_TARGETS))
+    def test_elementwise_rows_are_the_gradient_bit_for_bit(self, name):
+        target, x0 = LOCK_STEP_TARGETS[name]
+        for traj in self._run(target, RAGGED_LENGTHS, 250, x0):
+            np.testing.assert_array_equal(traj.gradients, target.gradient(traj.states))
+
+    def test_gradient_returning_its_input(self):
+        # each row is copied out before the state it views is overwritten
+        target = _box_gaussian(2, 50.0, gradient_is_input=True)
+        for traj in self._run(target, RAGGED_LENGTHS, 250):
+            np.testing.assert_array_equal(traj.gradients, traj.states)
+
+    def test_single_state_chain_keeps_the_start_gradient(self):
+        target = _box_gaussian(2, 50.0)
+        (traj, _), = sample_chains(SamplerConfig("ula", 0.1, 1, SeedKey(1, 0)), target, [3],
+                                   x0=[0.5, -1.0], keep_gradients=True)
+        np.testing.assert_array_equal(traj.gradients, [[0.5, -1.0]])
+
+    @pytest.mark.parametrize("kind", ["mala", "rwm"])
+    def test_only_ula_keeps_gradients(self, kind):
+        cfg = SamplerConfig(kind, 0.1, 10, SeedKey(1, 0))
+        with pytest.raises(ValueError, match="only ULA"):
+            sample_chains(cfg, _standard_gaussian(2), [1], keep_gradients=True)
+
+
 @pytest.mark.parametrize("d", range(1, 9))
 def test_lone_squared_distance_has_the_batched_bits(d):
     # a lone MALA chain sums |x - drift(y)|^2 in Python floats; a 1-ULP
