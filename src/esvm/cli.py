@@ -193,10 +193,13 @@ def _print_summary(report) -> None:
               + ("" if m.fit["converged"] else ", fit not converged"))
     cpu = report.run_info["cpu_timings"]
     steps = report.run_info["chain_steps"]
+    worker_rss = report.run_info["worker_peak_rss_mb"]
     for stage, wall in report.run_info["timings"].items():
         line = f"  {stage}: {wall:.3f} s wall, {cpu[stage]:.3f} s CPU"
         if steps.get(stage):
             line += f", {steps[stage] / wall:,.0f} chain-steps/s"
+        if stage == "first-batch" and worker_rss is not None:
+            line += f", in a worker of {worker_rss:.1f} MiB peak RSS"
         print(line)
 
 

@@ -20,3 +20,7 @@ class StageError(EsvmError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # args holds the message, not the constructor's arguments
+        return type(self), (self.stage, self.cause)

@@ -7,25 +7,29 @@ on it; sample n_test_chains independent chains (streams 1..N of the same
 master seed) of n_burn + n_test states, in lock-step batches of at most
 batch_size, keeping the last n_test; on every test chain compute the windowed
 long-run variance of the raw functional and of each adjusted functional, their
-ratio (the variance reduction factor), and the ergodic averages. The training
-chain rides in the first batch's sampler call, which is made before the fit.
-Both methods are scored on the same test chains, never resampled.
+ratio (the variance reduction factor), and the ergodic averages. Both methods
+are scored on the same test chains, never resampled.
 
 One private pipeline, `_experiment`, runs that protocol for every entry point:
-it samples the first batch (with the training chain when there is a fit to
-make), runs a fit stage on the one design built from the training chain or
-takes given fits, and scores every test chain. `run_experiment` fits each
-method and `evaluate_with_parameters` takes given parameters (no training
-chain is sampled); both then only aggregate the rows into a report.
-`bn_sweep` fits esvm at each training truncation of the one design and reads
-each row's mean VRF and infinite count from the per-fit summary a report's
-methods use. The configuration builds its functional's evaluator once, and
-`_along_chain` evaluates it along every chain, training and test alike, a
-block of states at a time. grad U along a chain comes from the sampler where
-ULA runs on a regression posterior: ULA computes it at every state it leaves,
-and only that target's gradient reads a data set, so only there do the kept
-rows pay for the second copy of the states they cost. Every other chain has
-grad U evaluated along it through `_along_chain`.
+it samples the training chain alone when there is a fit to make, runs a fit
+stage on the one design built from it or takes given fits, and scores every
+test chain. The training chain and the first test batch share nothing until
+the fits exist, so where the platform allows (`_can_fork`) a forked worker
+samples the first batch while this process samples the training chain and
+fits, and scores it once the fits come down a pipe; elsewhere the same code
+runs in-process after the fit. Both routes give the same bits.
+`run_experiment` fits each method and `evaluate_with_parameters` takes given
+parameters (no training chain is sampled, and nothing is forked); both then
+only aggregate the rows into a report. `bn_sweep` fits esvm at each training
+truncation of the one design and reads each row's mean VRF and infinite
+count from the per-fit summary a report's methods use. The configuration
+builds its functional's evaluator once, and `_along_chain` evaluates it along
+every chain, training and test alike, a block of states at a time. grad U
+along a chain comes from the sampler where ULA runs on a regression
+posterior: ULA computes it at every state it leaves, and only that target's
+gradient reads a data set, so only there do the kept rows pay for the second
+copy of the states they cost. Every other chain has grad U evaluated along
+it through `_along_chain`.
 
 Reports are deterministic functions of the configuration: floats are written
 with 17 significant digits and rows are ordered by stream index, so reruns
@@ -36,8 +40,12 @@ run_info block that reproducibility comparisons must ignore.
 from __future__ import annotations
 
 import json
+import os
+import pickle
 import platform
+import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +56,7 @@ import numpy as np
 from .chains import SeedKey, Trajectory, ergodic_average
 from .errors import ConfigError, StageError
 from .fitting import OBJECTIVES, DesignSet, FitResult, RbfResponse, fit
-from .samplers import NOISE_BLOCK, SamplerConfig, _check_x0, sample_chain, sample_chains
+from .samplers import NOISE_BLOCK, SamplerConfig, _check_x0, sample_chains
 from .stein import SteinFamily, feature_matrix, stein_values
 from .targets import TargetModel
 from .variance import LagWindow, autocovariances, default_truncation, spectral_variance
@@ -282,13 +290,15 @@ class VRFReport:
 
 
 class _Stage:
-    """Context manager recording a pipeline stage's (wall, CPU) seconds under
-    its name and tagging failures with that name. CPU time is the process's,
-    summed over its threads."""
+    """Context manager adding a pipeline stage's (wall, CPU) seconds, and the
+    chain-steps it advanced (None for a stage that samples nothing), to its
+    entry under its name, and tagging failures with that name. CPU time is
+    the process's, summed over its threads."""
 
-    def __init__(self, name: str, timings: dict):
+    def __init__(self, name: str, timings: dict, steps: Optional[int] = None):
         self.name = name
         self.timings = timings
+        self.steps = steps
 
     def __enter__(self):
         self._start = time.perf_counter(), time.process_time()
@@ -296,7 +306,11 @@ class _Stage:
 
     def __exit__(self, exc_type, exc, tb):
         wall, cpu = self._start
-        self.timings[self.name] = (time.perf_counter() - wall, time.process_time() - cpu)
+        wall0, cpu0, steps = self.timings.get(self.name, (0.0, 0.0, None))
+        if self.steps is not None:
+            steps = (steps or 0) + self.steps
+        self.timings[self.name] = (wall0 + time.perf_counter() - wall,
+                                   cpu0 + time.process_time() - cpu, steps)
         if exc is not None and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False
@@ -316,9 +330,14 @@ def _sampler(config: ExperimentConfig, n_keep: int) -> SamplerConfig:
 
 def train_chain(config: ExperimentConfig):
     """Sample the training chain (stream 0) alone past its burn-in; returns
-    the trajectory of n_train states and its acceptance statistics. The
-    experiment pipelines sample it in the first test batch's call instead."""
-    return sample_chain(_sampler(config, config.n_train), config.target, config.start_point())
+    the trajectory of n_train states, carrying grad U where the
+    configuration keeps it, and its acceptance statistics. Every pipeline
+    and the CLI's sample, fit and acf commands sample it here, so each fits
+    on the same bits."""
+    ((chain, stats),) = sample_chains(_sampler(config, config.n_train), config.target, [0],
+                                      config.start_point(),
+                                      keep_gradients=_keeps_gradients(config))
+    return chain, stats
 
 
 def _keeps_gradients(config: ExperimentConfig) -> bool:
@@ -398,18 +417,12 @@ def _test_batches(config: ExperimentConfig) -> list:
     return [streams[i : i + size] for i in range(0, len(streams), size)]
 
 
-def _sample_batch(config: ExperimentConfig, streams, with_train: bool = False) -> list:
+def _sample_batch(config: ExperimentConfig, streams) -> list:
     """Sample test chains `streams` (n_burn + n_test states each) in one
-    lock-step call. With with_train, the training chain (stream 0, n_burn +
-    n_train states) rides in the same call, first. Returns one (stream,
-    trajectory, stats) per chain; the trajectories carry grad U where the
-    configuration keeps it."""
-    sampler = _sampler(config, config.n_test)
-    lead = [0] if with_train else []
-    lengths = [config.n_burn + config.n_train] * len(lead) + [sampler.n_steps] * len(streams)
-    streams = lead + list(streams)
-    out = sample_chains(sampler, config.target, streams, config.start_point(), n_steps=lengths,
-                        keep_gradients=_keeps_gradients(config))
+    lock-step call. Returns one (stream, trajectory, stats) per chain; the
+    trajectories carry grad U where the configuration keeps it."""
+    out = sample_chains(_sampler(config, config.n_test), config.target, streams,
+                        config.start_point(), keep_gradients=_keeps_gradients(config))
     return [(stream, chain, stats) for stream, (chain, stats) in zip(streams, out)]
 
 
@@ -446,46 +459,197 @@ def _score_batch(config: ExperimentConfig, batch: list, fits: dict, window: LagW
     return rows
 
 
+def _first_batch(config: ExperimentConfig, streams, window: LagWindow, receive_fits,
+                 timings: dict) -> list:
+    """Sample the first batch's test chains, then score them on the fits
+    receive_fits() returns, under one `first-batch` stage. In the forked
+    worker receive_fits waits for the parent's fits, and the wait is left
+    out of the stage."""
+    with _Stage("first-batch", timings, len(streams) * (config.n_burn + config.n_test)):
+        batch = _sample_batch(config, streams)
+    fits = receive_fits()
+    with _Stage("first-batch", timings, 0):
+        return _score_batch(config, batch, fits, window)
+
+
+def _can_fork() -> bool:
+    """Whether the first test batch may run in a forked worker: the platform
+    forks and reports an affinity of two or more CPUs, and this process runs
+    no other thread, which could hold a lock across the fork."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in the worker."""
+
+
+class _Worker:
+    """A forked child process that runs job(receive) once and sends back what
+    it returns, or the exception it raised with its formatted traceback.
+    receive() unpickles the next object the parent sends down one pipe; the
+    reply comes back up another. The child always leaves through os._exit,
+    so it never returns into the caller's stack, and it exits once its
+    reads find the parent gone (EOF)."""
+
+    def __init__(self, job):
+        down, up = os.pipe(), os.pipe()  # parent -> child, child -> parent
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in down + up:
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the child
+            status = 1
+            try:
+                os.close(down[1])
+                os.close(up[0])
+                with os.fdopen(down[0], "rb") as inbox, os.fdopen(up[1], "wb") as outbox:
+                    try:
+                        reply = (True, job(lambda: pickle.load(inbox)))
+                    except BaseException as exc:  # re-raised by the parent
+                        reply = (False, _portable(exc))
+                    pickle.dump(reply, outbox)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(down[0])
+        os.close(up[1])
+        self._outbox = os.fdopen(down[1], "wb")
+        self._inbox = os.fdopen(up[0], "rb")
+
+    def send(self, obj) -> None:
+        try:
+            pickle.dump(obj, self._outbox)
+            self._outbox.flush()
+        except BrokenPipeError:
+            pass  # the child is gone; result() says how it ended
+
+    def result(self):
+        """The job's return value, once the child has sent it and been
+        reaped; re-raises the job's exception, chained to its traceback."""
+        try:
+            reply = pickle.load(self._inbox)
+        except EOFError:
+            reply = None
+        status = self._reap()  # once it has replied, the child only exits
+        if reply is None:
+            raise StageError("first-batch", RuntimeError(
+                f"the first-batch worker ended (wait status {status}) without a reply"))
+        ok, value = reply
+        if not ok:
+            exc, text = value
+            raise exc from (None if exc.args == (text,) else _RemoteTraceback(text))
+        return value
+
+    def close(self) -> None:
+        """Kill the child and reap it, unless result() has reaped it."""
+        if self.pid is not None:
+            import signal  # only a failing pipeline kills its worker
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        """Close the pipes, wait for the child to exit and return its wait
+        status."""
+        try:
+            self._outbox.close()
+        except BrokenPipeError:
+            pass  # bytes a failed send left in the buffer
+        self._inbox.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
+
+
+def _portable(exc: BaseException) -> tuple:
+    """(exc, its formatted traceback) for the parent; an exception that does
+    not survive pickling is sent as a RuntimeError carrying the traceback."""
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(text)
+    return exc, text
+
+
 def _experiment(config: ExperimentConfig, fit_stage=None, fits: Optional[dict] = None):
-    """The one sample-fit-score pipeline. Samples the first test batch, with
-    the training chain in the same call when there is a fit to make; then
-    either calls fit_stage on the design built from the training chain (at
-    the configuration's training truncation), which returns the fits, or
-    takes the given fits; then scores every test chain, sampling the later
-    batches in a thread pool when threads > 1. Returns (fits, rows ordered by
-    stream, training stats or None, stage timings)."""
+    """The one sample-fit-score pipeline. With a fit to make it samples the
+    training chain alone, then calls fit_stage on the design built from it
+    (at the configuration's training truncation), which returns the fits;
+    otherwise it takes the given fits. The first test batch is sampled and
+    scored after the fit, or, where `_can_fork` allows, in a forked worker
+    that samples it while this process samples the training chain and fits,
+    and scores it once the fits come down its pipe. The later batches are
+    then sampled and scored here, in a thread pool when threads > 1. Either
+    way the same code computes the same rows, and a failure surfaces in
+    the serial order: training chain, fit, first batch, later batches.
+    Returns (fits, rows ordered by stream, training stats or None, stage
+    timings, the worker's peak RSS in MiB or None)."""
     timings: dict = {}
     first_streams, *later = _test_batches(config)
-    with _Stage("train-sampling", timings):
-        first = _sample_batch(config, first_streams, with_train=fit_stage is not None)
-    train_stats = None
-    if fit_stage is not None:
-        _, train, train_stats = first.pop(0)
-        with _Stage("fit", timings):
-            design = build_design(config, train, LagWindow(config.train_truncation))
-            # The design holds what the fit reads; the training states (and
-            # any kept grad U rows) are dropped before it runs. They may be a
-            # view of the first batch's array, which is then released once
-            # the first batch is scored.
-            del train
-            fits = fit_stage(design)
-        del design
     window = LagWindow(config.test_truncation)
+    worker = None
+    if fit_stage is not None and _can_fork():
+        def job(receive):
+            rows = _first_batch(config, first_streams, window, receive, timings)
+            return rows, timings["first-batch"]
 
-    def evaluate(streams):
-        return _score_batch(config, _sample_batch(config, streams), fits, window)
-
-    with _Stage("test-evaluation", timings):
-        rows = _score_batch(config, first, fits, window)
-        del first  # released before the later batches are sampled
-        if config.threads > 1 and len(later) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                chunks = list(pool.map(evaluate, later))
+        try:
+            worker = _Worker(job)
+        except OSError:
+            pass  # no process to spare: run serially
+    worker_rss = None
+    try:
+        train_stats = None
+        if fit_stage is not None:
+            with _Stage("train-sampling", timings, config.n_burn + config.n_train):
+                train, train_stats = train_chain(config)
+            with _Stage("fit", timings):
+                design = build_design(config, train, LagWindow(config.train_truncation))
+                # The design holds what the fit reads; the training states
+                # (and any kept grad U rows) are dropped before it runs.
+                del train
+                fits = fit_stage(design)
+            del design
+        if worker is None:
+            rows = _first_batch(config, first_streams, window, lambda: fits, timings)
         else:
-            chunks = [evaluate(streams) for streams in later]
-        rows += [row for chunk in chunks for row in chunk]
-        rows.sort(key=lambda r: r["stream"])
-    return fits, rows, train_stats, timings
+            worker.send(fits)
+
+        def evaluate(streams):
+            return _score_batch(config, _sample_batch(config, streams), fits, window)
+
+        per_test = config.n_burn + config.n_test
+        with _Stage("test-evaluation", timings, sum(map(len, later)) * per_test):
+            try:
+                if config.threads > 1 and len(later) > 1:
+                    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                        chunks = list(pool.map(evaluate, later))
+                else:
+                    chunks = [evaluate(streams) for streams in later]
+            finally:
+                # the worker's failure comes first, as the first batch's
+                # would in the serial order
+                if worker is not None:
+                    rows, timings["first-batch"] = worker.result()
+                    worker_rss = _children_peak_rss_mb()
+            rows += [row for chunk in chunks for row in chunk]
+            rows.sort(key=lambda r: r["stream"])
+    finally:
+        if worker is not None:
+            worker.close()
+    return fits, rows, train_stats, timings, worker_rss
+
+
+def _children_peak_rss_mb() -> float:
+    """The largest peak resident set of any reaped child of this process,
+    in MiB (ru_maxrss is in KiB on Linux)."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 
 
 def _vrf_summary(rows: list, key) -> dict:
@@ -549,24 +713,21 @@ def _aggregate(config: ExperimentConfig, fits: dict, rows: list, train_stats) ->
 
 
 def _report(config: ExperimentConfig, fits: dict, rows: list, train_stats,
-            timings: dict) -> VRFReport:
+            timings: dict, worker_rss: Optional[float]) -> VRFReport:
     """Aggregate a pipeline's output; then record the stage wall and CPU
     timings, aggregation included, the chain-steps (states per chain,
     burn-in included, summed over chains) each sampling stage advanced
-    (`train-sampling` the first test batch and any training chain,
-    `test-evaluation` the later batches), and the grad U rows evaluated again
-    along the chains."""
+    (`train-sampling` the training chain, `first-batch` the first test
+    batch, `test-evaluation` the later batches), the forked worker's peak
+    RSS (None where the first batch ran in this process), and the grad U
+    rows evaluated again along the chains."""
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
-    per_test = config.n_burn + config.n_test
-    n_first = min(_chains_per_batch(config), config.n_test_chains)
-    report.run_info["timings"] = {k: round(wall, 6) for k, (wall, _) in timings.items()}
-    report.run_info["cpu_timings"] = {k: round(cpu, 6) for k, (_, cpu) in timings.items()}
-    report.run_info["chain_steps"] = {
-        "train-sampling": ((config.n_burn + config.n_train if train_stats else 0)
-                           + n_first * per_test),
-        "test-evaluation": (config.n_test_chains - n_first) * per_test,
-    }
+    report.run_info["timings"] = {k: round(wall, 6) for k, (wall, _, _) in timings.items()}
+    report.run_info["cpu_timings"] = {k: round(cpu, 6) for k, (_, cpu, _) in timings.items()}
+    report.run_info["chain_steps"] = {k: steps for k, (_, _, steps) in timings.items()
+                                      if steps is not None}
+    report.run_info["worker_peak_rss_mb"] = worker_rss
     # grad U rows evaluated along the training and test chains after they
     # were sampled: none where the sampler kept its own
     report.run_info["grad_rows_along_chains"] = 0 if _keeps_gradients(config) else (
@@ -584,9 +745,9 @@ def run_experiment(config: ExperimentConfig) -> VRFReport:
 def evaluate_with_parameters(config: ExperimentConfig, thetas: dict) -> VRFReport:
     """Score pre-fitted parameter vectors (method name -> theta) on fresh test
     chains, without refitting. No training chain is sampled, so the report's
-    training acceptance fields are null; the `train-sampling` stage samples
-    the first test batch. Each theta must be family.n_params finite numbers,
-    checked before any chain is sampled."""
+    training acceptance fields are null, there is no `train-sampling` stage,
+    and the first test batch runs in this process. Each theta must be
+    family.n_params finite numbers, checked before any chain is sampled."""
     n_params = config.family.n_params
     fits = {}
     for method, theta in thetas.items():
@@ -621,7 +782,7 @@ def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
                               ridge=config.ridge)
         return fits
 
-    _, rows, _, _ = _experiment(config, fit_each)
+    rows = _experiment(config, fit_each)[1]
     return [{"b_n": b, **_vrf_summary(rows, b)} for b in bn_values]
 
 

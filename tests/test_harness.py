@@ -1,7 +1,10 @@
 """Experiment pipeline, reports, ACF, truncation sweep, CLI."""
 
 import json
+import os
+import pickle
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -60,6 +63,15 @@ def _logistic_overrides(n_features=8):
 @pytest.fixture(scope="module")
 def mini_report():
     return run_experiment(_mini_config())
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Run the first test batch in this process, after the fit, so that test
+    doubles see every call the pipeline makes."""
+    import esvm.harness as harness
+
+    monkeypatch.setattr(harness, "_can_fork", lambda: False)
 
 
 @pytest.fixture
@@ -269,9 +281,9 @@ class TestKeptGradients:
         assert not _keeps_gradients(_mini_config())
 
     def test_kept_rows_score_as_rows_evaluated_along_chains(self, monkeypatch):
-        # the training chain runs its tail alone past the test chains; the
-        # fits and VRFs from the kept rows equal those from grad U evaluated
-        # again along every chain, up to the rows' rounding
+        # a training chain longer than the test chains; the fits and VRFs
+        # from the kept rows equal those from grad U evaluated again along
+        # every chain, up to the rows' rounding
         import esvm.harness as harness
 
         cfg = _mini_config(n_train=2500, n_test=1200, n_test_chains=6, b_n_train=10,
@@ -287,7 +299,8 @@ class TestKeptGradients:
 
     @pytest.mark.parametrize("case", ["logistic-ula", "logistic-rwm", "mixture-ula",
                                       "mixture-evaluate"])
-    def test_rows_evaluated_along_chains_recorded(self, monkeypatch, mini_report, case):
+    def test_rows_evaluated_along_chains_recorded(self, monkeypatch, serial, mini_report,
+                                                  case):
         import esvm.harness as harness
 
         if case.startswith("logistic"):
@@ -395,7 +408,7 @@ class TestRunExperiment:
 class TestStageTimings:
     def test_every_stage_is_timed(self, mini_report):
         assert set(mini_report.run_info["timings"]) == {
-            "train-sampling", "fit", "test-evaluation", "aggregate"}
+            "train-sampling", "fit", "first-batch", "test-evaluation", "aggregate"}
 
     def test_cpu_time_recorded_per_stage(self, mini_report):
         wall, cpu = mini_report.run_info["timings"], mini_report.run_info["cpu_timings"]
@@ -409,8 +422,8 @@ class TestStageTimings:
         timings = {}
         with _Stage("idle", timings):
             time.sleep(0.2)
-        idle_wall, idle_cpu = timings["idle"]
-        assert idle_wall >= 0.2 and idle_cpu < 0.1
+        idle_wall, idle_cpu, idle_steps = timings["idle"]
+        assert idle_wall >= 0.2 and idle_cpu < 0.1 and idle_steps is None
 
     def test_library_versions_recorded(self, mini_report):
         import platform
@@ -428,11 +441,11 @@ class TestStageTimings:
         thetas = {m.method: m.family["params"] for m in mini_report.methods}
         report = evaluate_with_parameters(cfg, thetas)
         assert set(report.run_info["timings"]) == set(report.run_info["cpu_timings"]) == {
-            "train-sampling", "test-evaluation", "aggregate"}
+            "first-batch", "test-evaluation", "aggregate"}
 
-    def test_chain_steps_recorded_per_sampling_stage(self, monkeypatch, mini_report):
-        # one sampler call per batch; the first carries the training chain
-        # (stream 0, run_experiment only) and is made before any fit
+    def test_chain_steps_recorded_per_sampling_stage(self, monkeypatch, serial, mini_report):
+        # one sampler call for the training chain (stream 0, run_experiment
+        # only), made before any fit, then one per batch
         import esvm.harness as harness
 
         cfg = _mini_config(n_train=500, n_test=400, n_test_chains=6, b_n_train=5)
@@ -454,24 +467,23 @@ class TestStageTimings:
         thetas = {m.method: m.family["params"] for m in mini_report.methods}
         first = {s: 600 for s in range(1, 5)}
         for run, expected in (
-            (lambda: run_experiment(cfg), [{0: 700, **first}, "fit", "fit", {5: 600, 6: 600}]),
+            (lambda: run_experiment(cfg), [{0: 700}, "fit", "fit", first, {5: 600, 6: 600}]),
             (lambda: harness.evaluate_with_parameters(cfg, thetas), [first, {5: 600, 6: 600}]),
         ):
             calls.clear()
             report = run()
             assert calls == expected
             sampled = [c for c in calls if c != "fit"]
+            stages = ["train-sampling", "first-batch", "test-evaluation"][-len(sampled):]
             assert report.run_info["chain_steps"] == {
-                "train-sampling": sum(sampled[0].values()),
-                "test-evaluation": sum(sampled[1].values()),
-            }
+                stage: sum(c.values()) for stage, c in zip(stages, sampled)}
 
 
 class TestTrainingChain:
     @pytest.mark.parametrize("n_train", [600, 1500])
     def test_training_chain_in_first_batch_equals_lone_chain(self, n_train):
-        # stream 0 ends before or after the test chains of its batch; the
-        # fit on it equals the fit on the chain sampled alone
+        # stream 0 is shorter or longer than the test chains; the run fits on
+        # the chain train_chain samples alone
         from esvm.harness import build_design, fit_methods, train_chain
 
         cfg = _mini_config(n_train=n_train, n_test=1000, n_test_chains=3, b_n_train=8)
@@ -563,7 +575,7 @@ class TestBatching:
         assert _chains_per_batch(_mini_config(sampler_kind="rwm", gamma=0.05, **logistic)) == 10
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_long_chains_split_into_smaller_batches(self, monkeypatch, threads):
+    def test_long_chains_split_into_smaller_batches(self, monkeypatch, serial, threads):
         import esvm.harness as harness
 
         cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=6,
@@ -581,8 +593,8 @@ class TestBatching:
         monkeypatch.setattr(harness, "TEST_BATCH_BYTES", 3 * 1000 * 2 * 8)
         report = run_experiment(cfg)
         monkeypatch.undo()
-        # each stream sampled once; the training chain rides in the first batch
-        assert calls == [[0, 1, 2, 3], [4, 5, 6]]
+        # each stream sampled once; the training chain alone, before the batches
+        assert calls == [[0], [1, 2, 3], [4, 5, 6]]
         assert report.vanilla == reference.vanilla
         assert ([m.to_dict() for m in report.methods]
                 == [m.to_dict() for m in reference.methods])
@@ -590,7 +602,7 @@ class TestBatching:
 
 class TestBnSweep:
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_test_chains_sampled_once_for_all_values(self, monkeypatch, threads):
+    def test_test_chains_sampled_once_for_all_values(self, monkeypatch, serial, threads):
         import esvm.harness as harness
 
         cfg = _mini_config(n_train=1000, n_test=1000, n_test_chains=6,
@@ -607,8 +619,8 @@ class TestBnSweep:
         monkeypatch.setattr(harness, "sample_chains", counting)
         rows = bn_sweep(cfg, values)
         monkeypatch.undo()
-        # each stream sampled once; the training chain rides in the first batch
-        assert calls == [[0, 1, 2, 3, 4], [5, 6]]
+        # each stream sampled once; the training chain alone, before the batches
+        assert calls == [[0], [1, 2, 3, 4], [5, 6]]
         for row, b in zip(rows, values):
             rep = run_experiment(_mini_config(n_train=1000, n_test=1000, n_test_chains=6,
                                               batch_size=4, b_n_train=b))
@@ -616,7 +628,7 @@ class TestBnSweep:
             assert row["mean_vrf"] == rep.methods[0].mean_vrf
             assert row["infinite_count"] == rep.methods[0].infinite_count
 
-    def test_training_design_built_once(self):
+    def test_training_design_built_once(self, serial):
         # RWM never calls the gradient, so every full-length call on the
         # training states comes from building the design
         from dataclasses import replace
@@ -682,6 +694,179 @@ class TestBnSweep:
         values = [r["mean_vrf"] for r in rows]
         assert all(v is not None and v > 0 for v in values)
         assert values[1] >= 0.5 * max(values)
+
+
+def _outputs(cfg, out, sweep):
+    """Run cfg (and, with sweep, bn_sweep on it) into out; returns every
+    output file's bytes, report.json without its run_info."""
+    import esvm.harness as harness
+
+    report = run_experiment(cfg)
+    emit_report(report, out)
+    files = {name: (out / name).read_bytes() for name in ("vrf.csv", "boxplot.csv")}
+    doc = json.loads((out / "report.json").read_text())
+    doc.pop("run_info")
+    files["report.json"] = json.dumps(doc)
+    if sweep:
+        harness.write_bn_sweep_csv(bn_sweep(cfg, sweep), out / "sweep.csv")
+        files["sweep.csv"] = (out / "sweep.csv").read_bytes()
+    return report, files
+
+
+class TestForkedWorker:
+    """Where `_can_fork` allows, a forked worker samples and scores the first
+    test batch while this process samples the training chain and fits."""
+
+    @pytest.mark.parametrize("case", ["mixture-ula", "logistic-ula", "mixture-sweep"])
+    def test_forked_and_serial_outputs_are_byte_identical(self, monkeypatch, tmp_path, case):
+        import esvm.harness as harness
+
+        overrides = _logistic_overrides(5) if case == "logistic-ula" else {}
+        cfg = _mini_config(n_train=900, n_test=700, n_test_chains=6, b_n_train=8, **overrides)
+        sweep = [4, 8, 30] if case == "mixture-sweep" else None
+        got = {}
+        for forks in (True, False):
+            monkeypatch.setattr(harness, "_can_fork", lambda: forks)
+            report, got[forks] = _outputs(cfg, tmp_path / str(forks), sweep)
+            assert (report.run_info["worker_peak_rss_mb"] is not None) == forks
+            assert set(report.run_info["chain_steps"]) == {
+                "train-sampling", "first-batch", "test-evaluation"}
+        assert got[True] == got[False]
+
+    def test_parent_samples_only_the_training_chain_and_later_batches(self, monkeypatch):
+        import esvm.harness as harness
+
+        monkeypatch.setattr(harness, "_can_fork", lambda: True)
+        calls = []
+        sample = harness.sample_chains
+
+        def counting(config, target, streams, x0=None, keep_gradients=False):
+            calls.append(list(streams))
+            return sample(config, target, streams, x0, keep_gradients=keep_gradients)
+
+        monkeypatch.setattr(harness, "sample_chains", counting)
+        report = run_experiment(_mini_config(n_train=1000, n_test=600, n_test_chains=6))
+        # this process's calls; streams 1..4 were sampled in the worker
+        assert calls == [[0], [5, 6]]
+        assert report.run_info["chain_steps"] == {
+            "train-sampling": 1200, "first-batch": 4 * 800, "test-evaluation": 2 * 800}
+        assert report.run_info["worker_peak_rss_mb"] > 0.0
+
+    def test_failing_fit_kills_and_reaps_the_worker(self, monkeypatch):
+        import esvm.harness as harness
+        from esvm.errors import StageError
+
+        monkeypatch.setattr(harness, "_can_fork", lambda: True)
+        statuses = []
+
+        class Recorded(harness._Worker):
+            def _reap(self):
+                statuses.append(super()._reap())
+                return statuses[-1]
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("no fit")
+
+        monkeypatch.setattr(harness, "_Worker", Recorded)
+        monkeypatch.setattr(harness, "fit", failing)
+        with pytest.raises(StageError) as info:
+            run_experiment(_mini_config(n_train=600, n_test=600, n_test_chains=2,
+                                        b_n_train=5))
+        assert info.value.stage == "fit"
+        # killed while it waited for the fits, and reaped
+        (status,) = statuses
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+    def test_serial_where_fork_fails(self, monkeypatch, tmp_path):
+        import esvm.harness as harness
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        cfg = _mini_config(n_train=600, n_test=600, n_test_chains=3, b_n_train=6)
+        monkeypatch.setattr(harness, "_can_fork", lambda: True)
+        monkeypatch.setattr(harness.os, "fork", no_fork)
+        report, got = _outputs(cfg, tmp_path / "a", None)
+        assert report.run_info["worker_peak_rss_mb"] is None
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "_can_fork", lambda: False)
+        assert got == _outputs(cfg, tmp_path / "b", None)[1]
+
+    def test_no_fork_while_another_thread_runs(self):
+        import threading
+
+        from esvm.harness import _can_fork
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+        assert _can_fork() == (hasattr(os, "fork") and cpus >= 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not _can_fork()
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_stage_error_survives_pickling(self):
+        from esvm.errors import NumericError, StageError
+
+        err = pickle.loads(pickle.dumps(StageError("fit", NumericError("boom"))))
+        assert isinstance(err, StageError) and err.stage == "fit"
+        assert isinstance(err.cause, NumericError) and str(err.cause) == "boom"
+        assert str(err) == "stage 'fit' failed: boom"
+
+    def test_worker_exception_comes_back_with_its_traceback(self):
+        from esvm.errors import NumericError, StageError
+        from esvm.harness import _RemoteTraceback, _Worker
+
+        def failing(receive):
+            raise StageError("first-batch", NumericError(f"diverged after {receive()}"))
+
+        worker = _Worker(failing)
+        worker.send("fits")
+        with pytest.raises(StageError) as info:
+            worker.result()
+        assert str(info.value) == "stage 'first-batch' failed: diverged after fits"
+        cause = info.value.__cause__
+        assert isinstance(cause, _RemoteTraceback) and "in failing" in str(cause)
+
+    def test_unpicklable_exception_comes_back_as_runtime_error(self):
+        from esvm.harness import _Worker
+
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def failing(receive):
+            raise Unpicklable(1, 2)
+
+        worker = _Worker(failing)
+        with pytest.raises(RuntimeError) as info:
+            worker.result()
+        text = str(info.value)
+        assert "Unpicklable: 1 and 2" in text and "in failing" in text
+
+    def test_worker_exits_when_the_parent_is_gone(self):
+        import time
+
+        from esvm.harness import _Worker
+
+        worker = _Worker(lambda receive: receive())
+        # what the child sees when its parent dies: both pipes close
+        worker._outbox.close()
+        worker._inbox.close()
+        deadline = time.monotonic() + 30.0
+        while True:
+            pid, status = os.waitpid(worker.pid, os.WNOHANG)
+            if pid or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        if not pid:
+            worker.close()
+        assert pid == worker.pid and os.WIFEXITED(status)
+        worker.pid = None
 
 
 class TestReportEmission:
@@ -758,9 +943,13 @@ class TestCli:
         out = capsys.readouterr().out
         times = r"\d+\.\d{3} s wall, \d+\.\d{3} s CPU"
         # batch_size 2 leaves one of the 3 test chains to a later batch, so
-        # both sampling stages advance chains
+        # all three sampling stages advance chains
         for stage in ("train-sampling", "test-evaluation"):
             assert re.search(rf"^  {stage}: {times}, [\d,]+ chain-steps/s$", out, re.M)
+        worker = json.loads((tmp_path / "out/report.json").read_text())["run_info"][
+            "worker_peak_rss_mb"]
+        suffix = "" if worker is None else r", in a worker of \d+\.\d MiB peak RSS"
+        assert re.search(rf"^  first-batch: {times}, [\d,]+ chain-steps/s{suffix}$", out, re.M)
         for stage in ("fit", "aggregate"):
             assert re.search(rf"^  {re.escape(stage)}: {times}$", out, re.M)
 
@@ -889,6 +1078,42 @@ class TestCli:
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_first_batch_failure_exits_as_in_the_serial_path(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # gamma 2.5 makes ULA on this target expand by about 1.5 per step:
+        # the 100-state training chain stays finite and fits, and the test
+        # chains overflow within 3 000 steps
+        import esvm.harness as harness
+        from esvm.cli import main
+
+        cfg = self._write_config(tmp_path, sampler={"kind": "ula", "gamma": 2.5}, n_burn=0,
+                                 n_train=100, n_test=3000, n_test_chains=2, b_n=5)
+        results = []
+        for forks in (True, False):
+            monkeypatch.setattr(harness, "_can_fork", lambda: forks)
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 3 and "stage 'first-batch' failed" in results[0][1]
+
+    def test_fit_command_fits_as_run_does(self, tmp_path, capsys):
+        # ULA on a logistic posterior: both fit on the rows the training
+        # chain's sampler kept
+        from esvm.cli import main
+        from esvm.config import load_experiment
+
+        dataset = {"kind": "synthetic", "n_rows": 200, "n_features": 5, "k_test": 40,
+                   "seed": 3}
+        cfg = self._write_config(tmp_path, target={"kind": "logistic", "dataset": dataset},
+                                 functional={"kind": "test_likelihood"},
+                                 family={"kind": "first_order"}, n_train=1500, n_test=500)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        fitted = json.loads((out / "fit.json").read_text())["methods"]
+        report = run_experiment(load_experiment(cfg))
+        for m in report.methods:
+            assert fitted[m.method]["theta"] == m.fit["theta"]
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         from esvm.cli import main
