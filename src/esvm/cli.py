@@ -201,6 +201,8 @@ def _print_summary(report) -> None:
         if stage == "first-batch" and worker_rss is not None:
             line += f", in a worker of {worker_rss:.1f} MiB peak RSS"
         print(line)
+    if report.run_info["peak_rss_mb"] is not None:
+        print(f"  peak RSS: {report.run_info['peak_rss_mb']:.1f} MiB in this process")
 
 
 _COMMANDS = {

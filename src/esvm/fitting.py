@@ -8,8 +8,10 @@ families the criterion is quadratic in the parameters, and one windowed
 long-run covariance matrix of [f, features] gives the ridge-stabilized normal
 equations and the criterion at zero, so a linear fit is one solve and never
 iterates; where that quadratic has no minimum the fit returns zero
-parameters, unconverged. The bump family goes through a limited-memory
-quasi-Newton descent with a backtracking line search.
+parameters, unconverged. A linear design holds f and the features once, as
+one centered (p + 1, n) block that every fit on it reads, whatever its
+window; no fit centers a copy of its own. The bump family goes through a
+limited-memory quasi-Newton descent with a backtracking line search.
 """
 
 from __future__ import annotations
@@ -67,29 +69,56 @@ class RbfResponse:
 @dataclass(frozen=True)
 class DesignSet:
     """Assembled training problem: functional values, lag window, and either
-    a fixed feature matrix (linear families) or a per-point response oracle."""
+    a fixed feature matrix (linear families) or a per-point response oracle.
+
+    A linear design owns `block`, the C-ordered (p + 1, n) array [f; Psi]'
+    with each row centered on its sequential mean (`_row_means`), the Z_c'
+    every fit passes to `centered_covariance`; `f_values` and `features`
+    are views of it. Separate arrays are copied into a new block, centered
+    once. A design given `block` takes it as centered, so that
+    `replace(design, window=...)` neither copies nor centers it again. A
+    response design holds f as given and no block."""
 
     f_values: np.ndarray
     window: LagWindow
     features: Optional[np.ndarray] = None
     response: Optional[RbfResponse] = None
+    block: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if (self.features is None) == (self.response is None):
+            raise ValueError("provide exactly one of features or response")
+        if self.block is not None:
+            if (self.features is None or self.f_values.base is not self.block
+                    or self.features.base is not self.block):
+                raise ValueError("f_values and features must be views of the block")
+            return
         f = np.asarray(self.f_values, dtype=np.float64)
         if f.ndim != 1 or f.size < 2:
             raise ValueError("functional series must be a vector of length >= 2")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("functional series contains non-finite values")
-        object.__setattr__(self, "f_values", f)
-        if (self.features is None) == (self.response is None):
-            raise ValueError("provide exactly one of features or response")
-        if self.features is not None:
-            psi = np.asarray(self.features, dtype=np.float64)
-            if psi.ndim != 2 or psi.shape[0] != f.size:
-                raise ValueError("feature matrix must be (n, p)")
-            if not np.all(np.isfinite(psi)):
-                raise ValueError("feature matrix contains non-finite values")
-            object.__setattr__(self, "features", psi)
+        if self.features is None:
+            _check_finite(f, "functional series")
+            object.__setattr__(self, "f_values", f)
+            return
+        psi = np.asarray(self.features, dtype=np.float64)
+        if psi.ndim != 2 or psi.shape[0] != f.size:
+            raise ValueError("feature matrix must be (n, p)")
+        block = np.empty((psi.shape[1] + 1, f.size))
+        block[0] = f
+        block[1:] = psi.T
+        _center_block(block)
+        for name, value in (("f_values", block[0]), ("features", block[1:].T),
+                            ("block", block)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_block(cls, block: np.ndarray, window: LagWindow) -> "DesignSet":
+        """The linear design that owns `block`, a C-ordered (p + 1, n) float
+        array holding f in its first row and the feature rows after it (as
+        `stein.feature_matrix` writes them with `out=`). The block is checked
+        and centered in place."""
+        _center_block(block)
+        return cls(f_values=block[0], window=window, features=block[1:].T, block=block)
 
     @property
     def n(self) -> int:
@@ -103,6 +132,34 @@ class DesignSet:
         if self.features is not None:
             return self.features @ theta, self.features
         return self.response.values_and_jacobian(theta)
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} contains non-finite values")
+
+
+def _row_means(block: np.ndarray) -> np.ndarray:
+    """Mean of each row of a (k, n) block, its entries added one after
+    another from the first: the order numpy sums the columns of an (n, k)
+    block in, for k >= 2. A running sum over about 256 KiB of columns at a
+    time, carried from one slice to the next, keeps that order without a
+    (k, n) temporary."""
+    k, n = block.shape
+    step = max(1, (1 << 15) // k)
+    total = block[:, :1].copy()
+    for lo in range(1, n, step):
+        part = np.concatenate([total, block[:, lo : lo + step]], axis=1)
+        total = np.add.accumulate(part, axis=1, out=part)[:, -1:]
+    return total[:, 0] / n
+
+
+def _center_block(block: np.ndarray) -> None:
+    """Check a [f; Psi]' block for non-finite values, a row at a time, then
+    subtract each row's mean from it in place."""
+    for i, row in enumerate(block):
+        _check_finite(row, "feature matrix" if i else "functional series")
+    block -= _row_means(block)[:, None]
 
 
 @dataclass(frozen=True)
@@ -142,19 +199,25 @@ def _criterion(design: DesignSet, kind: str):
     return LagWindow(1), design.n / (design.n - 1)
 
 
+def _residual_criterion(resid: np.ndarray, window: LagWindow, scale: float):
+    """A criterion of a residual series, `scale` times its windowed long-run
+    variance, and W c of the centered residual c that gave it; O(n * b_n)."""
+    c = resid - resid.mean()
+    u = _apply_window(c, window)
+    value = float(c @ u) / c.size
+    return scale * value, u
+
+
 def _objective(theta, design: DesignSet, kind: str):
-    """Criterion `kind` of f - g_theta and its parameter gradient: the scaled
-    windowed long-run variance, evaluated matrix-free in O(n * b_n + n * p)."""
+    """Criterion `kind` of f - g_theta and its parameter gradient,
+    matrix-free in O(n * b_n + n * p)."""
     window, scale = _criterion(design, kind)
     theta = np.asarray(theta, dtype=np.float64)
     g, jac = design._cv_values_and_jacobian(theta)
-    resid = design.f_values - g
-    c = resid - resid.mean()
-    u = _apply_window(c, window)
-    value = float(c @ u) / design.n
+    value, u = _residual_criterion(design.f_values - g, window, scale)
     u -= u.mean()
     grad = -2.0 * (jac.T @ u) / design.n
-    return scale * value, scale * grad
+    return value, scale * grad
 
 
 def esvm_objective(theta, design: DesignSet):
@@ -170,15 +233,6 @@ def evm_objective(theta, design: DesignSet):
 OBJECTIVES = {"esvm": esvm_objective, "evm": evm_objective}
 
 
-def _running_means(a: np.ndarray) -> np.ndarray:
-    """Means over the states (axis 0) of an (n, k) block, each column summed
-    state after state, as numpy sums the columns of a block of two or more;
-    a lone column it would sum pairwise."""
-    if a.shape[1] > 1:
-        return a.mean(axis=0)
-    return np.cumsum(a[:, 0])[-1:] / a.shape[0]
-
-
 def default_ridge(normal_matrix: np.ndarray) -> float:
     trace = float(np.trace(normal_matrix))
     p = normal_matrix.shape[0]
@@ -191,7 +245,10 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
                  ridge: Optional[float] = None) -> FitResult:
     """Exact stationary point of the quadratic criterion for linear families:
     one solve of the ridge-stabilized normal equations, never iterating. A
-    singular system (ridge 0 only) takes their least-norm solution.
+    singular system (ridge 0 only) takes their least-norm solution. The
+    equations and the criterion at zero come from the windowed covariance
+    of the design's centered block, read as it is; the criterion at the
+    solution is checked without the parameter gradient.
 
     The window operator is not positive definite, so the point is accepted
     only if it is finite and does not raise the criterion. Otherwise the
@@ -203,15 +260,9 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
         raise ValueError("linear solve needs a feature matrix")
     if objective_kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective_kind!r}")
-    objective = OBJECTIVES[objective_kind]
     p = design.n_params
     window, scale = _criterion(design, objective_kind)
-    # Ŝ of [f, Ψ] from their centered block Z_c', built at once instead of
-    # from a stacked (n, p + 1) copy, with the stacked block's means
-    c = np.empty((p + 1, design.n))
-    np.subtract(design.f_values, _running_means(design.f_values[:, None]), out=c[0])
-    np.subtract(design.features.T, _running_means(design.features)[:, None], out=c[1:])
-    cov = scale * centered_covariance(c, window)
+    cov = scale * centered_covariance(design.block, window)
     normal, rhs, value_zero = cov[1:, 1:], cov[1:, 0], float(cov[0, 0])
     if ridge is None:
         ridge = default_ridge(normal)
@@ -221,7 +272,9 @@ def solve_linear(design: DesignSet, objective_kind: str = "esvm",
         theta = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         theta = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    value_theta = objective(theta, design)[0] if np.all(np.isfinite(theta)) else np.inf
+    value_theta = (_residual_criterion(design.f_values - design.features @ theta, window,
+                                       scale)[0]
+                   if np.all(np.isfinite(theta)) else np.inf)
     converged = value_theta <= value_zero + MONOTONE_SLACK * abs(value_zero)
     if not converged:
         theta, value_theta = np.zeros(p), value_zero

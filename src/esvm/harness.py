@@ -20,9 +20,13 @@ fits, and scores it once the fits come down a pipe; elsewhere the same code
 runs in-process after the fit. Both routes give the same bits.
 `run_experiment` fits each method and `evaluate_with_parameters` takes given
 parameters (no training chain is sampled, and nothing is forked); both then
-only aggregate the rows into a report. `bn_sweep` fits esvm at each training
-truncation of the one design and reads each row's mean VRF and infinite
-count from the per-fit summary a report's methods use. The configuration
+only aggregate the rows into a report. For a linear family `build_design`
+writes f and the features straight into the one centered (p + 1, n) block
+the design owns, and every fit reads that block. `bn_sweep` fits esvm at
+each training truncation of the one design, each through a copy of the
+design that differs in its window only and shares the block, and reads each
+row's mean VRF and infinite count from the per-fit summary a report's
+methods use. The configuration
 builds its functional's evaluator once, and `_along_chain` evaluates it along
 every chain, training and test alike, a block of states at a time. grad U
 along a chain comes from the sampler where ULA runs on a regression
@@ -381,12 +385,16 @@ def _chain_gradients(config: ExperimentConfig, chain: Trajectory) -> np.ndarray:
 def build_design(config: ExperimentConfig, train: Trajectory, window: LagWindow) -> DesignSet:
     """The training problem on a training trajectory: the functional's values,
     the family's features (or, for the bump family, its response oracle) and
-    the lag window of the spectral criterion."""
+    the lag window of the spectral criterion. For a linear family f and the
+    feature rows are written straight into the one (p + 1, n) block the
+    design centers and owns, so the features are never held twice."""
     f_values = _along_chain(config.evaluator, train.states)
     grads = _chain_gradients(config, train)
     if config.family.linear:
-        psi = feature_matrix(config.family, train.states, grads)
-        return DesignSet(f_values=f_values, window=window, features=psi)
+        block = np.empty((config.family.n_params + 1, f_values.size))
+        block[0] = f_values
+        feature_matrix(config.family, train.states, grads, out=block[1:])
+        return DesignSet.from_block(block, window)
     response = RbfResponse(family=config.family,
                            states=train.states[:, 0].copy(),
                            grads=grads[:, 0].copy())
@@ -635,7 +643,7 @@ def _experiment(config: ExperimentConfig, fit_stage=None, fits: Optional[dict] =
                 # would in the serial order
                 if worker is not None:
                     rows, timings["first-batch"] = worker.result()
-                    worker_rss = _children_peak_rss_mb()
+                    worker_rss = _peak_rss_mb(children=True)
             rows += [row for chunk in chunks for row in chunk]
             rows.sort(key=lambda r: r["stream"])
     finally:
@@ -644,12 +652,16 @@ def _experiment(config: ExperimentConfig, fit_stage=None, fits: Optional[dict] =
     return fits, rows, train_stats, timings, worker_rss
 
 
-def _children_peak_rss_mb() -> float:
-    """The largest peak resident set of any reaped child of this process,
-    in MiB (ru_maxrss is in KiB on Linux)."""
-    import resource
-
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+def _peak_rss_mb(children: bool = False) -> Optional[float]:
+    """The peak resident set of this process, or with `children` the largest
+    of any reaped child's, in MiB (ru_maxrss is in KiB on Linux); None where
+    the platform has no `resource` module."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _vrf_summary(rows: list, key) -> dict:
@@ -718,15 +730,17 @@ def _report(config: ExperimentConfig, fits: dict, rows: list, train_stats,
     timings, aggregation included, the chain-steps (states per chain,
     burn-in included, summed over chains) each sampling stage advanced
     (`train-sampling` the training chain, `first-batch` the first test
-    batch, `test-evaluation` the later batches), the forked worker's peak
-    RSS (None where the first batch ran in this process), and the grad U
-    rows evaluated again along the chains."""
+    batch, `test-evaluation` the later batches), the peak RSS of this
+    process so far and of the forked worker (None where the first batch ran
+    in this process), and the grad U rows evaluated again along the
+    chains."""
     with _Stage("aggregate", timings):
         report = _aggregate(config, fits, rows, train_stats)
     report.run_info["timings"] = {k: round(wall, 6) for k, (wall, _, _) in timings.items()}
     report.run_info["cpu_timings"] = {k: round(cpu, 6) for k, (_, cpu, _) in timings.items()}
     report.run_info["chain_steps"] = {k: steps for k, (_, _, steps) in timings.items()
                                       if steps is not None}
+    report.run_info["peak_rss_mb"] = _peak_rss_mb()
     report.run_info["worker_peak_rss_mb"] = worker_rss
     # grad U rows evaluated along the training and test chains after they
     # were sampled: none where the sampler kept its own
@@ -776,7 +790,8 @@ def bn_sweep(config: ExperimentConfig, bn_values: Sequence[int]) -> list:
         fits = {}
         for b in bn_values:
             # tags a failing fit with its truncation; the fit stage around
-            # it passes the tagged error on as it is
+            # it passes the tagged error on as it is. The design with the
+            # new window shares the centered block: nothing is copied.
             with _Stage(f"fit[b_n={b}]", {}):
                 fits[b] = fit(replace(design, window=LagWindow(b)), config.family, "esvm",
                               ridge=config.ridge)

@@ -96,26 +96,34 @@ def stein_values(family: SteinFamily, theta, states, grads) -> np.ndarray:
     return resp @ theta[:r]
 
 
-def feature_matrix(family: SteinFamily, states, grads) -> np.ndarray:
-    """Rows psi(x) with g_theta(x) = <theta, psi(x)> for the linear families.
+def feature_matrix(family: SteinFamily, states, grads, out=None) -> np.ndarray:
+    """Rows psi(x) with g_theta(x) = <theta, psi(x)> for the linear families,
+    as an (n, p) matrix.
 
     Layout: the constant-field coordinates first, then the affine matrix
-    row-major, matching the parameter vector."""
+    row-major, matching the parameter vector. The features are written as
+    the p rows of `out`, a C-ordered (p, n) array (a new one if None), and
+    the result is its transpose: each feature is one contiguous row, as a
+    fit's [f; Psi]' block holds it."""
     if not family.linear:
         raise ValueError("family not linear in all parameters")
     states = np.asarray(states, dtype=np.float64).reshape(-1, family.dim)
     grads = np.asarray(grads, dtype=np.float64).reshape(-1, family.dim)
-    if family.kind == "first_order":
-        return -grads.copy()
     d = family.dim
     n = states.shape[0]
-    # written into the (n, d + d^2) result, with no (n, d, d) temporary
-    out = np.empty((n, d + d * d))
-    np.negative(grads, out=out[:, :d])
-    quad = out[:, d:].reshape(n, d, d)
-    np.multiply(out[:, :d, None], states[:, None, :], out=quad)
-    quad += np.eye(d)
-    return out
+    if out is None:
+        out = np.empty((family.n_params, n))
+    elif out.shape != (family.n_params, n) or not out.flags.c_contiguous:
+        raise ValueError(f"feature rows must be a C-ordered ({family.n_params}, {n}) array")
+    np.negative(grads.T, out=out[:d])
+    if family.kind == "second_order":
+        # row (i, j) of the affine block is -dU/dx_i * x_j, plus 1 where
+        # i == j, written row by row with no (d, d, n) temporary
+        quad = out[d:].reshape(d, d, n)
+        for i in range(d):
+            np.multiply(out[i], states.T, out=quad[i])
+        out[d :: d + 1] += 1.0
+    return out.T
 
 
 def rbf_gradient(family: SteinFamily, theta, x, grad_u_at_x) -> np.ndarray:

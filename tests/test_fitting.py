@@ -4,6 +4,7 @@ has no minimum), quasi-Newton descent for the bump family, and fit
 monotonicity."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from esvm.errors import EsvmError
 from esvm.fitting import (
     DesignSet,
     RbfResponse,
+    default_ridge,
     esvm_objective,
     evm_objective,
     fit,
@@ -19,7 +21,7 @@ from esvm.fitting import (
     solve_linear,
 )
 from esvm.stein import SteinFamily, feature_matrix, rbf_gradient, stein_values
-from esvm.variance import LagWindow
+from esvm.variance import LagWindow, centered_covariance
 
 from _oracles import weight_matrix_oracle
 
@@ -132,6 +134,89 @@ class TestRbfResponse:
                 values, jac = RbfResponse(fam, states, grads).values_and_jacobian(theta)
                 np.testing.assert_array_equal(values, stein_values(fam, theta, states, grads))
                 np.testing.assert_array_equal(jac, rbf_gradient(fam, theta, states, grads))
+
+
+def _stacked_centering(f, psi):
+    """[f, Psi] centered as a stacked (n, p + 1) block would be, transposed:
+    numpy sums the columns of an (n, k >= 2) block state after state, and
+    a lone column is summed the same way here."""
+    return np.ascontiguousarray(np.vstack([
+        f - np.cumsum(f)[-1:] / f.size,
+        psi.T - (psi.mean(axis=0) if psi.shape[1] > 1
+                 else np.cumsum(psi[:, 0])[-1:] / f.size)[:, None]]))
+
+
+class TestDesignBlock:
+    @pytest.mark.parametrize("n, p", [(2, 1), (7, 2), (200, 6), (3000, 72), (40_000, 3)])
+    def test_block_is_the_stacked_centering(self, n, p):
+        rng = np.random.default_rng(n + p)
+        f = 5.0 + rng.standard_normal(n).cumsum()
+        psi = rng.standard_normal((n, p)) * rng.uniform(0.1, 1e3, p) + 3.0
+        design = DesignSet(f_values=f, window=LagWindow(1), features=psi)
+        assert design.block.shape == (p + 1, n) and design.block.flags.c_contiguous
+        np.testing.assert_array_equal(design.block, _stacked_centering(f, psi))
+        assert design.f_values.base is design.block
+        assert design.features.base is design.block
+        np.testing.assert_array_equal(design.features, design.block[1:].T)
+
+    def test_from_block_centers_in_place(self):
+        rng = np.random.default_rng(30)
+        f, psi = rng.standard_normal(300) + 1.0, rng.standard_normal((300, 4)) - 2.0
+        block = np.ascontiguousarray(np.vstack([f, psi.T]))
+        design = DesignSet.from_block(block, LagWindow(5))
+        assert design.block is block
+        np.testing.assert_array_equal(block, _stacked_centering(f, psi))
+        bad = np.ascontiguousarray(np.vstack([f, psi.T]))
+        bad[3, 7] = np.inf
+        with pytest.raises(ValueError, match="feature matrix contains non-finite"):
+            DesignSet.from_block(bad, LagWindow(5))
+
+    def test_replace_shares_the_block_and_keeps_it_centered(self):
+        design = _random_design()
+        before = design.block.copy()
+        moved = replace(design, window=LagWindow(30))
+        assert moved.block is design.block
+        assert np.shares_memory(moved.features, design.block)
+        assert np.shares_memory(moved.f_values, design.block)
+        np.testing.assert_array_equal(design.block, before)
+        assert moved.window == LagWindow(30)
+
+    def test_replace_with_other_features_refused(self):
+        design = _random_design()
+        with pytest.raises(ValueError, match="views of the block"):
+            replace(design, features=np.ones_like(design.features))
+
+    @pytest.mark.parametrize("kind", ["esvm", "evm"])
+    def test_solve_reads_the_block_as_the_stacked_centering(self, kind):
+        # the normal equations and the criterion at zero have the bits the
+        # stacked block's covariance gives
+        rng = np.random.default_rng(31)
+        f, psi = rng.standard_normal(500).cumsum(), rng.standard_normal((500, 6))
+        design = DesignSet(f_values=f, window=LagWindow(12), features=psi)
+        window, scale = (LagWindow(12), 1.0) if kind == "esvm" else (LagWindow(1), 500 / 499)
+        cov = scale * centered_covariance(_stacked_centering(f, psi), window)
+        res = solve_linear(design, kind)
+        assert res.objective_at_zero == float(cov[0, 0])
+        normal = cov[1:, 1:]
+        theta = np.linalg.solve(normal + default_ridge(normal) * np.eye(6), cov[1:, 0])
+        np.testing.assert_array_equal(res.theta, theta)
+        assert res.objective_at_theta == pytest.approx(
+            (esvm_objective if kind == "esvm" else evm_objective)(theta, design)[0],
+            rel=1e-12)
+
+    def test_solve_allocates_no_copy_of_the_block(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(32)
+        design = DesignSet(f_values=rng.standard_normal(20_000),
+                           window=LagWindow(40), features=rng.standard_normal((20_000, 30)))
+        tracemalloc.start()
+        try:
+            solve_linear(design, "esvm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * design.block.nbytes
 
 
 class TestSolveLinear:

@@ -425,6 +425,14 @@ class TestStageTimings:
         idle_wall, idle_cpu, idle_steps = timings["idle"]
         assert idle_wall >= 0.2 and idle_cpu < 0.1 and idle_steps is None
 
+    def test_peak_rss_recorded(self, mini_report):
+        # this process's peak so far, beside the worker's (or None)
+        import resource
+
+        peak = mini_report.run_info["peak_rss_mb"]
+        assert 0.0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        assert '"peak_rss_mb": ' in report_json(mini_report)
+
     def test_library_versions_recorded(self, mini_report):
         import platform
 
@@ -535,6 +543,84 @@ class TestTrainingChain:
 
         with pytest.raises(ConfigError, match="'esvm' must be 6 finite numbers"):
             evaluate_with_parameters(_mini_config(), {"esvm": theta})
+
+
+class TestTrainingDesign:
+    """build_design writes f and the features into the one centered block
+    every fit reads."""
+
+    CASES = {
+        "mixture-p6": {},
+        "logistic-p72": dict(_logistic_overrides(), family=esvm.SteinFamily("second_order", 8),
+                             n_train=2000, b_n_train=15),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fits_equal_those_on_separate_arrays(self, case):
+        from esvm.fitting import DesignSet
+        from esvm.harness import _chain_gradients, build_design, fit_methods, train_chain
+        from esvm.stein import feature_matrix
+
+        cfg = _mini_config(**self.CASES[case])
+        train, _ = train_chain(cfg)
+        window = LagWindow(cfg.train_truncation)
+        f = _along_chain(cfg.evaluator, train.states)
+        psi = np.ascontiguousarray(
+            feature_matrix(cfg.family, train.states, _chain_gradients(cfg, train)))
+        separate = DesignSet(f_values=f, window=window, features=psi)
+        design = build_design(cfg, train, window)
+        assert design.block.shape == (cfg.family.n_params + 1, cfg.n_train)
+        np.testing.assert_array_equal(design.block, separate.block)
+        fits, expected = fit_methods(cfg, design), fit_methods(cfg, separate)
+        assert set(fits) == {"esvm", "evm"}
+        for method, result in fits.items():
+            assert result.to_dict() == expected[method].to_dict()
+
+    def test_sweep_fits_share_the_block_and_match_the_run(self, monkeypatch):
+        # the sweep fits every truncation on one block, and its row at the
+        # run's b_n_train is the run's esvm fit, bit for bit
+        import esvm.harness as harness
+
+        cfg = _mini_config(n_train=1000, n_test=600, n_test_chains=4, b_n_train=12)
+        fit = harness.fit
+        seen = []
+
+        def recording(design, *args, **kwargs):
+            result = fit(design, *args, **kwargs)
+            seen.append((design, result))
+            return result
+
+        monkeypatch.setattr(harness, "fit", recording)
+        rows = bn_sweep(cfg, [4, 12, 30])
+        monkeypatch.undo()
+        blocks = [design.block for design, _ in seen]
+        assert [design.window.b_n for design, _ in seen] == [4, 12, 30]
+        assert all(block is blocks[0] for block in blocks)
+        report = run_experiment(cfg)
+        (esvm_fit,) = [m for m in report.methods if m.method == "esvm"]
+        assert seen[1][1].to_dict() == esvm_fit.fit
+        assert rows[1] == {"b_n": 12, "mean_vrf": esvm_fit.mean_vrf,
+                           "infinite_count": esvm_fit.infinite_count}
+
+    def test_design_and_fits_hold_about_one_block(self):
+        # n = 10 000 states, p = 72 features: the design and both fits peak
+        # below 1.5 times the block's bytes (two copies of the features
+        # would take 2)
+        import tracemalloc
+
+        from esvm.harness import build_design, fit_methods, train_chain
+
+        cfg = _mini_config(**dict(self.CASES["logistic-p72"], n_train=10_000, b_n_train=22))
+        train, _ = train_chain(cfg)
+        block_bytes = (cfg.family.n_params + 1) * cfg.n_train * 8
+        tracemalloc.start()
+        try:
+            fits = fit_methods(cfg, build_design(cfg, train, LagWindow(cfg.train_truncation)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(result.theta)) for result in fits.values())
+        assert peak < 1.5 * block_bytes
 
 
 class TestSharedPipeline:
@@ -952,6 +1038,15 @@ class TestCli:
         assert re.search(rf"^  first-batch: {times}, [\d,]+ chain-steps/s{suffix}$", out, re.M)
         for stage in ("fit", "aggregate"):
             assert re.search(rf"^  {re.escape(stage)}: {times}$", out, re.M)
+
+    def test_summary_reports_peak_rss(self, tmp_path, capsys):
+        from esvm.cli import main
+
+        cfg = self._write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        peak = json.loads((tmp_path / "out/report.json").read_text())["run_info"]["peak_rss_mb"]
+        line = f"  peak RSS: {peak:.1f} MiB in this process"
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_fit_then_evaluate(self, tmp_path, capsys):
         from esvm.cli import main

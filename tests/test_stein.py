@@ -93,6 +93,52 @@ class TestFeatureRows:
         for i in (0, 4, 9):
             np.testing.assert_allclose(mat[i], feature_row(fam, xs[i], grads[i]), rtol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["first_order", "second_order"])
+    def test_rows_written_into_out(self, kind):
+        # each feature is one contiguous row of out; the result reads it as
+        # (n, p), with the bits of the products and the diagonal's + 1.0
+        rng = np.random.default_rng(3)
+        fam = SteinFamily(kind, 3)
+        xs = rng.standard_normal((50, 3))
+        grads = rng.standard_normal((50, 3))
+        out = np.full((fam.n_params, 50), np.nan)
+        mat = feature_matrix(fam, xs, grads, out=out)
+        assert mat.base is out and mat.shape == (50, fam.n_params)
+        np.testing.assert_array_equal(out[:3], -grads.T)
+        if kind == "second_order":
+            quad = -grads[:, :, None] * xs[:, None, :]
+            quad[:, np.arange(3), np.arange(3)] += 1.0
+            np.testing.assert_array_equal(out[3:], quad.reshape(50, 9).T)
+        for bad in (np.empty((fam.n_params + 1, 50)), np.empty((50, fam.n_params)).T):
+            with pytest.raises(ValueError, match="feature rows"):
+                feature_matrix(fam, xs, grads, out=bad)
+
+    def test_only_the_diagonal_gets_one(self):
+        # an off-diagonal -0.0 keeps its sign: nothing is added to it
+        fam = SteinFamily("second_order", 2)
+        xs = np.array([[0.0, 2.0]])
+        grads = np.array([[1.0, 3.0]])
+        quad = feature_matrix(fam, xs, grads)[0, 2:]
+        np.testing.assert_array_equal(quad, [1.0, -2.0, -0.0, -5.0])
+        assert np.signbit(quad[2])
+
+    def test_writes_without_a_temporary(self):
+        # 72 features of 10 000 states: no (n, d, d) or (d, n) temporary
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        fam = SteinFamily("second_order", 8)
+        xs = rng.standard_normal((10_000, 8))
+        grads = rng.standard_normal((10_000, 8))
+        out = np.empty((fam.n_params, 10_000))
+        tracemalloc.start()
+        try:
+            feature_matrix(fam, xs, grads, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestRbfGradient:
     def test_zero_amplitudes(self):
